@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet lint test race race-confined cover bench bench-baseline bench-wallclock chaos chaos-confined shootout shootout-confined fleet scale experiments examples clean
+.PHONY: all build vet lint test race cover bench bench-baseline bench-wallclock chaos shootout fleet scale experiments examples clean
 
 all: build vet lint test
 
@@ -12,11 +12,10 @@ build:
 vet:
 	$(GO) vet ./...
 
-# spritelint (DESIGN.md §11, §16): the project's own go/analysis-style
-# suite — six intraprocedural analyzers (walltime, globalrand, maporder,
-# failpointreg, metricname, shardedstate) plus the interprocedural tier
-# (simtaint, confine, sharded) built on whole-tree function summaries —
-# run over the whole tree. Built once into bin/ so repeated runs reuse
+# spritelint (DESIGN.md §11, §14): the project's own go/analysis-style
+# suite — five intraprocedural analyzers (walltime, globalrand, maporder,
+# failpointreg, metricname) plus the interprocedural simtaint analyzer
+# built on whole-tree function summaries — run over the whole tree. Built once into bin/ so repeated runs reuse
 # the build cache; the whole-tree pattern also enables the
 # dead-failpoint audit and the stale-allow audit (-deadallow).
 lint:
@@ -24,7 +23,7 @@ lint:
 	./bin/spritelint -deadallow ./...
 
 # Dump the SCC-condensed whole-tree call graph the interprocedural
-# analyzers run over (DESIGN.md §16) — one line per function with its
+# analyzer runs over (DESIGN.md §14) — one line per function with its
 # resolved callees — for offline inspection of why a summary converged
 # the way it did.
 lint-graph:
@@ -36,24 +35,8 @@ test:
 
 # The simulator parks goroutines and hands control across channels, so the
 # race detector is the test that the one-activity-at-a-time discipline holds.
-# The second leg reruns the cross-shard suites — chaos, churn, fuzz,
-# cluster, and the kernel's own stress tests — with the conservative
-# parallel kernel enabled (SPRITE_SIM_PARALLEL): worker handoffs, mailbox
-# delivery, and sharded metrics cells must be clean under the race detector
-# at every worker count, not just logically equivalent.
 race:
 	$(GO) test -race ./...
-	SPRITE_SIM_PARALLEL=4 $(GO) test -race ./internal/sim ./internal/core ./internal/fault ./internal/recovery ./internal/hostsel
-	$(MAKE) race-confined
-
-# Confined-hosts leg (DESIGN.md §14): the suites written for the confined
-# contract — migration equivalence across all four strategies, the
-# cross-host RPC storm, the frozen golden, and the contract panics — under
-# the race detector with the parallel kernel forced. SPRITE_SIM_CONFINE=1
-# additionally exercises the env opt-in path; it is scoped to these suites
-# by name because confined clusters reject crashes and migration aborts.
-race-confined:
-	SPRITE_SIM_PARALLEL=4 SPRITE_SIM_CONFINE=1 $(GO) test -race -run 'TestConfined' -v ./internal/core
 
 # Minimum total coverage enforced; raise as the suite grows.
 COVER_MIN ?= 60
@@ -87,15 +70,11 @@ bench-baseline:
 # the code whose real (not virtual) speed bounds how fast experiments run.
 # Repeated runs (BENCH_COUNT) make the output benchstat-ready: save one
 # run, make a change, run again, and `benchstat old.txt
-# bench-wallclock.txt`. BenchmarkParallelKernel (sim) and
-# BenchmarkRegistryParallel (metrics) are the parallel kernel's speedup and
-# contention evidence; E17 then measures the same end to end and emits the
-# BENCH_wallclock.json CI artifact (committed reference: bench/).
+# bench-wallclock.txt`.
 BENCH_COUNT ?= 6
 bench-wallclock:
 	$(GO) test -run '^$$' -bench=. -benchmem -count=$(BENCH_COUNT) \
 		./internal/sim ./internal/rpc ./internal/vm ./internal/metrics | tee bench-wallclock.txt
-	$(GO) run ./cmd/spritesim -experiment E17 -wallclock-snapshot BENCH_wallclock.json
 
 # Crash-storm chaos suite (DESIGN.md §10) under the race detector: every
 # migration strategy in both batch modes survives a storm of host crashes
@@ -103,17 +82,9 @@ bench-wallclock:
 # RECOVERY_metrics.json — per-configuration recovery counters — plus the
 # recovery demo's full metrics snapshot for the CI artifact.
 chaos:
-	SPRITE_CHAOS_SNAPSHOT=$(CURDIR)/RECOVERY_metrics.json SPRITE_SIM_PARALLEL=4 \
+	SPRITE_CHAOS_SNAPSHOT=$(CURDIR)/RECOVERY_metrics.json \
 		$(GO) test -race -run 'TestCrashStorm|TestCrashAnyHostAtAnyFailpoint|TestGoldenCrashScenarios' -v ./internal/recovery
 	$(GO) run ./cmd/spritesim -experiment E15 -recovery-snapshot RECOVERY_demo.json
-	$(MAKE) chaos-confined
-
-# The confined counterpart of the chaos storm: crashes are off the table
-# under host confinement (the guards panic), so the stress here is traffic —
-# the cross-host RPC storm over all four strategies plus the contract
-# panics, racing at 4 workers.
-chaos-confined:
-	SPRITE_SIM_PARALLEL=4 $(GO) test -race -run 'TestConfinedCrossHostStorm|TestConfinedContract' -v ./internal/core
 
 # Host-selection churn suite (DESIGN.md §12) under the race detector —
 # reboot storms, flapping, and partitions against all four selector
@@ -122,40 +93,26 @@ chaos-confined:
 # bench/BENCH_hostsel.json. Then the full-scale E16 shoot-out, emitting
 # HOSTSEL_shootout.json for the CI artifact.
 shootout:
-	SPRITE_SIM_PARALLEL=4 $(GO) test -race -run 'Churn|Gossip|LoadVector|Merge|Decay|VectorBound|EvictionHint|EpochAdvance|NewestHalf|RebootReleases' -v ./internal/hostsel
-	SPRITE_SIM_PARALLEL=4 $(GO) test -race -run 'GossipMisplaceGate' ./internal/experiments
+	$(GO) test -race -run 'Churn|Gossip|LoadVector|Merge|Decay|VectorBound|EvictionHint|EpochAdvance|NewestHalf|RebootReleases' -v ./internal/hostsel
+	$(GO) test -race -run 'GossipMisplaceGate' ./internal/experiments
 	$(GO) run ./cmd/spritesim -experiment E16 -hostsel-snapshot HOSTSEL_shootout.json
-	$(MAKE) shootout-confined
 
-# Confined-hosts leg: E17's migration-heavy workload must commit the same
-# order at every worker count with the whole RPC/FS/migration plane
-# shard-confined.
-shootout-confined:
-	SPRITE_SIM_PARALLEL=4 $(GO) test -race -run 'TestE17MigrationDigestsAgree' -v ./internal/experiments
-
-# Fleet-management chaos suite (DESIGN.md §15): the drain state machine's
+# Fleet-management chaos suite (DESIGN.md §13): the drain state machine's
 # transition matrix, the 50-seed eviction-storm fuzz family (drain-safety
-# audit + shrinking), and the serial-vs-parallel kernel equivalence check,
-# all under the race detector with the parallel kernel enabled; then the
-# fleet economy gate against bench/BENCH_fleet.json and the full E18
-# sweep, emitting FLEET_storms.json for the CI artifact.
+# audit + shrinking), and the byte-exact rerun-determinism check, all
+# under the race detector; then the fleet economy gate against
+# bench/BENCH_fleet.json and the full E18 sweep, emitting FLEET_storms.json
+# for the CI artifact.
 fleet:
-	SPRITE_SIM_PARALLEL=4 $(GO) test -race -run 'TestDrainStateMachine|TestManagerDeterministic|TestFleetFuzz|TestFleetScenarioDeterminism|TestFleetKernelEquivalence' -v ./internal/fleet ./internal/fault
-	SPRITE_SIM_PARALLEL=4 $(GO) test -race -run 'TestFleetEconomyGate' ./internal/experiments
+	$(GO) test -race -run 'TestDrainStateMachine|TestManagerDeterministic|TestFleetFuzz|TestFleetScenarioDeterminism|TestFleetKernelEquivalence' -v ./internal/fleet ./internal/fault
+	$(GO) test -race -run 'TestFleetEconomyGate' ./internal/experiments
 	$(GO) run ./cmd/spritesim -experiment E18 -fleet-snapshot FLEET_storms.json
 
-# The 10,000-host scale tier (nightly CI), two planes:
-#   1. E16's combined-churn schedule — reboot storm, flapping hosts, two
-#      partitions, competing requesters — at fleet scale on the parallel
-#      kernel (churn needs crashes, so this plane cannot confine hosts).
-#      Emits HOSTSEL_10k.json.
-#   2. The confined-hosts migration plane (DESIGN.md §14) at 10k hosts,
-#      run under the serial oracle AND the parallel kernel: the run fails
-#      if their order digests diverge at fleet scale, and the
-#      serial-vs-parallel wallclock comparison lands in SCALE_confined.json.
+# The 10,000-host scale tier (nightly CI): E16's combined-churn schedule —
+# reboot storm, flapping hosts, two partitions, competing requesters — at
+# fleet scale. Emits HOSTSEL_10k.json.
 scale:
-	$(GO) run ./cmd/spritesim -experiment E16 -hosts 10000 -parallel -hostsel-snapshot HOSTSEL_10k.json
-	$(GO) run ./cmd/spritesim -confined-scale SCALE_confined.json
+	$(GO) run ./cmd/spritesim -experiment E16 -hosts 10000 -hostsel-snapshot HOSTSEL_10k.json
 
 # Regenerate every reproduced table (see EXPERIMENTS.md).
 experiments:

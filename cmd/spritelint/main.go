@@ -1,15 +1,13 @@
 // Command spritelint is the project's multichecker: it runs the
 // internal/analysis suite — the per-function analyzers walltime,
-// globalrand, maporder, failpointreg, metricname, shardedstate, and the
-// interprocedural tree analyzers simtaint, confine, sharded — over the
-// requested packages and fails (exit 1) on any violation. The analyzers
-// statically enforce the contracts everything else in this repo only
-// promises: byte-identical goldens, seed-replayable fuzzing, the exact
-// virtual-time regression gate, a failpoint/metric namespace shared by
-// code, tests, and DESIGN.md §11, and the parallel kernel's
-// confined-activity discipline (DESIGN.md §13) — the tree analyzers
-// proving the determinism and confinement contracts across call chains
-// (DESIGN.md §16).
+// globalrand, maporder, failpointreg, metricname, and the interprocedural
+// tree analyzer simtaint — over the requested packages and fails (exit 1)
+// on any violation. The analyzers statically enforce the contracts
+// everything else in this repo only promises: byte-identical goldens,
+// seed-replayable fuzzing, the exact virtual-time regression gate, and a
+// failpoint/metric namespace shared by code, tests, and DESIGN.md §11 —
+// the tree analyzer proving the determinism contract across call chains
+// (DESIGN.md §14).
 //
 // Usage:
 //
@@ -47,7 +45,6 @@ import (
 	"os"
 	"sort"
 
-	"sprite/internal/analysis/confine"
 	"sprite/internal/analysis/dataflow"
 	"sprite/internal/analysis/failpointreg"
 	"sprite/internal/analysis/globalrand"
@@ -55,8 +52,6 @@ import (
 	"sprite/internal/analysis/load"
 	"sprite/internal/analysis/maporder"
 	"sprite/internal/analysis/metricname"
-	"sprite/internal/analysis/sharded"
-	"sprite/internal/analysis/shardedstate"
 	"sprite/internal/analysis/simtaint"
 	"sprite/internal/analysis/walltime"
 )
@@ -67,13 +62,10 @@ var analyzers = []*lint.Analyzer{
 	maporder.Analyzer,
 	failpointreg.Analyzer,
 	metricname.Analyzer,
-	shardedstate.Analyzer,
 }
 
 var treeAnalyzers = []*dataflow.TreeAnalyzer{
 	simtaint.Analyzer,
-	confine.Analyzer,
-	sharded.Analyzer,
 }
 
 // jsonReport is the -json output schema, kept stable for CI artifacts.

@@ -8,11 +8,9 @@
 //	spritesim -experiment E15 [-crash ws1@250ms+200ms] [-recovery-snapshot out.json]
 //	spritesim -experiment E16 [-fleet-10k] [-hostsel-snapshot HOSTSEL_shootout.json]
 //	spritesim -experiment E16 -hosts 10000
-//	spritesim -experiment E17 [-hosts 1000] [-wallclock-snapshot BENCH_wallclock.json]
 //	spritesim -experiment E18 [-quick] [-fleet-snapshot FLEET_storms.json]
 //	spritesim -fleet-storm 5007
-//	spritesim -confined-scale SCALE_confined.json [-hosts 10000]
-//	spritesim -all [-quick] [-parallel] [-workers N]
+//	spritesim -all [-quick]
 //
 // -metrics appends every cluster's metrics snapshot (RPC traffic, cache
 // behaviour, migration phase timings) under the corresponding table.
@@ -26,19 +24,13 @@
 // -hostsel-snapshot writes E16's per-selector results as JSON.
 //
 // -hosts overrides the scale-aware experiments' host count: E16 runs its
-// combined-churn schedule at exactly that fleet size (the 10k CI tier),
-// and E17 sizes its confined load-daemon fleet.
-//
-// -parallel / -workers run every cluster on the conservative parallel
-// kernel, which commits the identical event order — same tables, less
-// wallclock. -wallclock-snapshot writes E17's measurements as JSON.
+// combined-churn schedule at exactly that fleet size (the 10k CI tier).
 package main
 
 import (
 	"flag"
 	"fmt"
 	"os"
-	"strconv"
 
 	"sprite/internal/experiments"
 	"sprite/internal/fault"
@@ -70,7 +62,6 @@ func (c *crashFlags) Set(v string) error {
 
 func main() {
 	if err := run(os.Args[1:]); err != nil {
-		//spritelint:allow simtaint E17's error values may carry measured host wall time; operator diagnostics, not sim state
 		fmt.Fprintln(os.Stderr, "spritesim:", err)
 		os.Exit(1)
 	}
@@ -79,46 +70,29 @@ func main() {
 func run(args []string) error {
 	fs := flag.NewFlagSet("spritesim", flag.ContinueOnError)
 	var (
-		list      = fs.Bool("list", false, "list available experiments")
-		expID     = fs.String("experiment", "", "experiment id to run (E1..E14)")
-		all       = fs.Bool("all", false, "run every experiment")
-		seed      = fs.Int64("seed", 42, "simulation seed")
-		quick     = fs.Bool("quick", false, "smaller parameter sweeps")
-		metrics   = fs.Bool("metrics", false, "append each cluster's metrics snapshot to the tables")
-		recSnap   = fs.String("recovery-snapshot", "", "write the recovery experiment's (E15) metrics snapshot JSON to this file")
-		fleet10k  = fs.Bool("fleet-10k", false, "add the 10,000-host point to the selector shoot-out (E16)")
-		hostSnap  = fs.String("hostsel-snapshot", "", "write the selector shoot-out's (E16) results JSON to this file")
-		hosts     = fs.Int("hosts", 0, "override the scale-aware experiments' host count (E16 fleet size, E17 load daemons)")
-		wallSnap  = fs.String("wallclock-snapshot", "", "write the wallclock experiment's (E17) rows JSON to this file")
-		confScale  = fs.String("confined-scale", "", "run the confined-hosts scale tier (serial vs parallel migration plane, default 10000 hosts; -hosts overrides) and write the comparison JSON to this file")
+		list       = fs.Bool("list", false, "list available experiments")
+		expID      = fs.String("experiment", "", "experiment id to run (E1..E14)")
+		all        = fs.Bool("all", false, "run every experiment")
+		seed       = fs.Int64("seed", 42, "simulation seed")
+		quick      = fs.Bool("quick", false, "smaller parameter sweeps")
+		metrics    = fs.Bool("metrics", false, "append each cluster's metrics snapshot to the tables")
+		recSnap    = fs.String("recovery-snapshot", "", "write the recovery experiment's (E15) metrics snapshot JSON to this file")
+		fleet10k   = fs.Bool("fleet-10k", false, "add the 10,000-host point to the selector shoot-out (E16)")
+		hostSnap   = fs.String("hostsel-snapshot", "", "write the selector shoot-out's (E16) results JSON to this file")
+		hosts      = fs.Int("hosts", 0, "override the scale-aware experiments' host count (E16 fleet size)")
 		fleetSnap  = fs.String("fleet-snapshot", "", "write the fleet economy experiment's (E18) rows JSON to this file")
 		fleetStorm = fs.Int64("fleet-storm", 0, "replay one fleet eviction-storm fuzz scenario by seed and print its report")
-		parallel  = fs.Bool("parallel", false, "run every cluster on the conservative parallel kernel (identical results, less wallclock)")
-		workers   = fs.Int("workers", 0, "parallel kernel worker count (0 = GOMAXPROCS; implies -parallel)")
 	)
 	var crashes crashFlags
 	fs.Var(&crashes, "crash", "recovery-experiment fault: host@at[+dur], e.g. ws1@250ms+200ms (repeatable; no +dur = instant reboot)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	if *parallel || *workers > 0 {
-		// Every cluster any experiment builds honours SPRITE_SIM_PARALLEL
-		// (core.NewCluster), so one env var opts the whole run in. The
-		// parallel kernel commits the serial event order bit for bit, so
-		// outputs are unchanged.
-		v := "true"
-		if *workers > 0 {
-			v = strconv.Itoa(*workers)
-		}
-		os.Setenv("SPRITE_SIM_PARALLEL", v)
-	}
 	cfg := experiments.Config{
 		Seed: *seed, Quick: *quick, Metrics: *metrics,
 		Crashes: crashes, RecoverySnapshot: *recSnap,
 		Fleet10k: *fleet10k, HostselSnapshot: *hostSnap,
-		Hosts: *hosts, WallclockSnapshot: *wallSnap,
-		ConfinedScaleSnapshot: *confScale,
-		FleetSnapshot:         *fleetSnap,
+		Hosts: *hosts, FleetSnapshot: *fleetSnap,
 	}
 	switch {
 	case *fleetStorm != 0:
@@ -134,20 +108,6 @@ func run(args []string) error {
 			return fmt.Errorf("fleet storm seed %d failed", *fleetStorm)
 		}
 		fmt.Println("ok")
-		return nil
-	case *confScale != "":
-		// The tier runs its own serial and parallel legs, so it must not be
-		// combined with -parallel (which forces every cluster parallel and
-		// would turn the serial baseline into a second parallel run).
-		if *parallel || *workers > 0 {
-			return fmt.Errorf("-confined-scale runs its own serial and parallel legs; drop -parallel/-workers")
-		}
-		tbl, err := experiments.E17ConfinedScale(cfg)
-		if err != nil {
-			return err
-		}
-		//spritelint:allow simtaint the confined-scale table reports measured host wall time by design (serial vs parallel speedup)
-		fmt.Println(tbl)
 		return nil
 	case *list:
 		for _, r := range experiments.All() {

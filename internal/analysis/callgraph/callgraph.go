@@ -1,10 +1,9 @@
 // Package callgraph builds a whole-tree static call graph over the offline
 // loader's packages (internal/analysis/load), the substrate for the
-// interprocedural analyzers (DESIGN.md §16). The per-package analyzers see
-// one function at a time; the contracts they enforce — determinism of
-// everything feeding traces and digests, the confined-shard discipline —
-// are properties of call *chains*, so the graph stitches the tree back
-// together:
+// interprocedural analyzers (DESIGN.md §14). The per-package analyzers see
+// one function at a time; the contract they enforce — determinism of
+// everything feeding traces and digests — is a property of call *chains*,
+// so the graph stitches the tree back together:
 //
 //   - every function declaration and every function literal is a node,
 //     identified by a stable FuncID ("sprite/internal/core.(*Kernel).Fork",
@@ -13,18 +12,17 @@
 //   - static calls resolve through the type checker, across packages
 //     (imported *types.Func objects are distinct from their source-side
 //     twins, so identity is by FuncID, not object);
-//   - the spawn idioms the shardedstate analyzer understands — inline
-//     literals, local variables bound to literals, method values, and
-//     same-or-cross-package closure factories — are resolved at every
-//     confinement point (sim.Simulation.SpawnOn, sim.Env.SpawnOn,
-//     core.Cluster.BootOn) and recorded as confined roots;
+//   - the spawn idioms — inline literals, local variables bound to
+//     literals, method values, and same-or-cross-package closure
+//     factories — are resolved at every spawn point (sim.Simulation.Spawn,
+//     sim.Env.Spawn, core.Cluster.Boot) and recorded as activity roots;
 //   - a literal's node hangs off its enclosing declaration with an
 //     Encloses edge: when the enclosing function runs in some context, the
 //     literals it builds are conservatively assumed to run there too.
 //
 // Dynamic dispatch — interface methods, func values threaded through
 // fields or maps (rpc's service handler table) — is out of reach for any
-// static pass and is deliberately unresolved; DESIGN.md §16 lists it as a
+// static pass and is deliberately unresolved; DESIGN.md §14 lists it as a
 // soundness limit, covered by the kernel's runtime checks.
 package callgraph
 
@@ -63,14 +61,11 @@ const (
 	Ref
 	// Encloses links a declaration to the literals defined inside it.
 	Encloses
-	// Spawn links a confinement point's caller to an activity body that
-	// runs on an explicitly chosen shard (SpawnOn, Boot, BootOn). The
-	// body's context comes from its Root entry, not from the spawner, so
-	// confined reachability does NOT traverse these.
+	// Spawn links a spawn point's caller to an activity body that starts
+	// a new root (Simulation.Spawn, Cluster.Boot).
 	Spawn
-	// SpawnSame links a spawner to a body that inherits the spawner's
-	// shard (Env.Spawn). Confined reachability traverses these: a
-	// confined activity's same-shard children are confined too.
+	// SpawnSame links an activity to a child it spawns through its own
+	// Env (Env.Spawn); the child is not recorded as a separate root.
 	SpawnSame
 )
 
@@ -139,23 +134,11 @@ func (n *Node) Extent() (token.Pos, token.Pos) {
 	return n.Lit.Pos(), n.Lit.End()
 }
 
-// RootKind says how an activity body enters a shard.
-type RootKind uint8
-
-const (
-	// ConfinedRoot bodies run on a confined shard (> 0), concurrently
-	// with other shards' windows.
-	ConfinedRoot RootKind = iota
-	// ExclusiveRoot bodies run on shard 0 under the serial commit order.
-	ExclusiveRoot
-)
-
 // Root is one resolved spawn: the body that will run as an activity.
 type Root struct {
 	Body FuncID
-	Kind RootKind
-	// Site is the spawn call site; Via names the confinement point
-	// ("SpawnOn", "Env.SpawnOn", "BootOn") for diagnostics.
+	// Site is the spawn call site; Via names the spawn point ("Spawn",
+	// "Boot") for diagnostics.
 	Site token.Pos
 	Via  string
 }
@@ -378,7 +361,7 @@ func (g *Graph) walkEdges(pkg *load.Package, owner *Node, body *ast.BlockStmt) {
 }
 
 // callEdge records the edge(s) for one call expression, plus spawn roots
-// at confinement points.
+// at spawn points.
 func (g *Graph) callEdge(pkg *load.Package, owner *Node, call *ast.CallExpr) {
 	if fn := lint.FuncObjOf(pkg.Info, call); fn != nil {
 		owner.Out = append(owner.Out, Edge{Callee: FuncIDOf(fn), Kind: Call, Pos: call.Pos()})
@@ -404,71 +387,41 @@ func (g *Graph) callEdge(pkg *load.Package, owner *Node, call *ast.CallExpr) {
 	}
 }
 
-// isConfinePoint reports whether fn hands its final func argument to a
-// shard, and whether that shard is exclusive or confined.
-func isConfinePoint(fn *types.Func, call *ast.CallExpr, pkg *load.Package) (via string, kind RootKind, arg ast.Expr, ok bool) {
+// spawnPoint reports whether fn hands its final func argument to a new
+// activity, naming the spawn point and returning that argument.
+func spawnPoint(fn *types.Func, call *ast.CallExpr) (via string, arg ast.Expr, ok bool) {
 	switch {
-	case lint.IsMethod(fn, simPkg, "Simulation", "SpawnOn") || lint.IsMethod(fn, simPkg, "Env", "SpawnOn"):
-		if len(call.Args) != 3 {
-			return "", 0, nil, false
-		}
-		kind = ConfinedRoot
-		// SpawnOn(0, ...) with a constant zero shard is the exclusive
-		// shard — not a confined root.
-		if tv, okc := pkg.Info.Types[call.Args[0]]; okc && tv.Value != nil && tv.Value.String() == "0" {
-			kind = ExclusiveRoot
-		}
-		via = "SpawnOn"
-		if lint.IsMethod(fn, simPkg, "Env", "SpawnOn") {
-			via = "Env.SpawnOn"
-		}
-		return via, kind, call.Args[2], true
-	case lint.IsMethod(fn, simPkg, "Simulation", "Spawn") || lint.IsMethod(fn, simPkg, "Env", "Spawn"):
-		if len(call.Args) != 2 {
-			return "", 0, nil, false
-		}
+	case lint.IsMethod(fn, simPkg, "Simulation", "Spawn"):
 		via = "Spawn"
-		kind = ExclusiveRoot
-		// Env.Spawn inherits the parent's shard: treated as confined when
-		// reached from confined code (the confine analyzer's reachability
-		// handles this through the Spawn edge), exclusive otherwise.
-		if lint.IsMethod(fn, simPkg, "Env", "Spawn") {
-			via = "Env.Spawn"
-		}
-		return via, kind, call.Args[1], true
-	case lint.IsMethod(fn, corePkg, "Cluster", "BootOn"):
-		if len(call.Args) != 3 {
-			return "", 0, nil, false
-		}
-		// BootOn bodies must be confined-safe: on a confined cluster they
-		// run on the host's shard.
-		return "BootOn", ConfinedRoot, call.Args[2], true
+	case lint.IsMethod(fn, simPkg, "Env", "Spawn"):
+		via = "Env.Spawn"
 	case lint.IsMethod(fn, corePkg, "Cluster", "Boot"):
-		if len(call.Args) != 2 {
-			return "", 0, nil, false
-		}
-		return "Boot", ExclusiveRoot, call.Args[1], true
+		via = "Boot"
+	default:
+		return "", nil, false
 	}
-	return "", 0, nil, false
+	if len(call.Args) != 2 {
+		return "", nil, false
+	}
+	return via, call.Args[1], true
 }
 
-// spawnRoots resolves the activity argument at confinement points and
-// records roots plus Spawn edges.
+// spawnRoots resolves the activity argument at spawn points and records
+// roots plus Spawn edges.
 func (g *Graph) spawnRoots(pkg *load.Package, owner *Node, call *ast.CallExpr, fn *types.Func) {
-	via, kind, arg, ok := isConfinePoint(fn, call, pkg)
+	via, arg, ok := spawnPoint(fn, call)
 	if !ok {
 		return
 	}
 	for _, body := range g.resolveFuncExpr(pkg, arg) {
-		// Env.Spawn roots are not recorded: the body runs on the parent's
-		// shard, whatever that is — confined reachability follows the
-		// SpawnSame edge from the parent instead.
+		// Env.Spawn roots are not recorded: the child is part of its
+		// parent activity's subtree, reached through the SpawnSame edge.
 		if via == "Env.Spawn" {
 			owner.Out = append(owner.Out, Edge{Callee: body, Kind: SpawnSame, Pos: call.Pos()})
 			continue
 		}
 		owner.Out = append(owner.Out, Edge{Callee: body, Kind: Spawn, Pos: call.Pos()})
-		g.Roots = append(g.Roots, Root{Body: body, Kind: kind, Site: call.Pos(), Via: via})
+		g.Roots = append(g.Roots, Root{Body: body, Site: call.Pos(), Via: via})
 	}
 }
 
@@ -738,11 +691,7 @@ func (g *Graph) Dump() string {
 		}
 	}
 	for _, r := range g.Roots {
-		kind := "confined"
-		if r.Kind == ExclusiveRoot {
-			kind = "exclusive"
-		}
-		fmt.Fprintf(&b, "root %s %s via %s at %s\n", kind, r.Body, r.Via, g.Fset.Position(r.Site))
+		fmt.Fprintf(&b, "root %s via %s at %s\n", r.Body, r.Via, g.Fset.Position(r.Site))
 	}
 	return b.String()
 }

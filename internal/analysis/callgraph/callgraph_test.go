@@ -44,17 +44,15 @@ func checkPkg(t *testing.T, fset *token.FileSet, imp mapImporter, path string, s
 	return pkg
 }
 
-// simStub is a minimal sprite/internal/sim with the confinement points the
-// graph resolves. The import path matters: IsMethod matches on it.
+// simStub is a minimal sprite/internal/sim with the spawn points the graph
+// resolves. The import path matters: IsMethod matches on it.
 const simStub = `package sim
 
 type Env struct{}
 type Simulation struct{}
 
-func (*Env) SpawnOn(shard int, name string, fn func(*Env) error)        {}
-func (*Env) Spawn(name string, fn func(*Env) error)                     {}
-func (*Simulation) SpawnOn(shard int, name string, fn func(*Env) error) {}
-func (*Simulation) Spawn(name string, fn func(*Env) error)              {}
+func (*Env) Spawn(name string, fn func(*Env) error)        {}
+func (*Simulation) Spawn(name string, fn func(*Env) error) {}
 `
 
 func TestSCCCondensation(t *testing.T) {
@@ -215,44 +213,29 @@ func factory() func(*sim.Env) error {
 	return func(env *sim.Env) error { return nil }
 }
 
-func spawnAll(s *sim.Simulation, env *sim.Env, shard int) {
-	s.SpawnOn(shard, "lit", func(env *sim.Env) error { return nil })
-	s.SpawnOn(shard, "named", named)
+func spawnAll(s *sim.Simulation, env *sim.Env) {
+	s.Spawn("lit", func(env *sim.Env) error { return nil })
+	s.Spawn("named", named)
 	bound := func(env *sim.Env) error { return nil }
-	s.SpawnOn(shard, "bound", bound)
-	s.SpawnOn(shard, "factory", factory())
-	s.SpawnOn(0, "exclusive", named)
-	env.SpawnOn(shard, "env", named)
+	s.Spawn("bound", bound)
+	s.Spawn("factory", factory())
 	env.Spawn("inherit", named)
 }
 `)
 	g := Build([]*load.Package{pkg})
 
-	type want struct {
-		body FuncID
-		kind RootKind
-		via  string
-	}
-	wants := []want{
-		{"p.spawnAll$1", ConfinedRoot, "SpawnOn"},
-		{"p.named", ConfinedRoot, "SpawnOn"},
-		{"p.spawnAll$2", ConfinedRoot, "SpawnOn"},
-		{"p.factory$1", ConfinedRoot, "SpawnOn"},
-		{"p.named", ExclusiveRoot, "SpawnOn"},
-		{"p.named", ConfinedRoot, "Env.SpawnOn"},
-	}
-	for _, w := range wants {
+	for _, body := range []FuncID{"p.spawnAll$1", "p.named", "p.spawnAll$2", "p.factory$1"} {
 		found := false
 		for _, r := range g.Roots {
-			if r.Body == w.body && r.Kind == w.kind && r.Via == w.via {
+			if r.Body == body && r.Via == "Spawn" {
 				found = true
 			}
 		}
 		if !found {
-			t.Errorf("missing root %+v; have %v", w, rootList(g))
+			t.Errorf("missing root %s; have %v", body, rootList(g))
 		}
 	}
-	// Env.Spawn must not create a root (shard inherited), only a Spawn edge.
+	// Env.Spawn must not create a root, only a spawn-same edge.
 	for _, r := range g.Roots {
 		if r.Via == "Env.Spawn" {
 			t.Errorf("Env.Spawn must not register a root: %v", rootList(g))
@@ -279,15 +262,15 @@ type daemon struct{}
 
 func (d *daemon) loop(env *sim.Env) error { return nil }
 
-func boot(s *sim.Simulation, shard int) {
+func boot(s *sim.Simulation) {
 	d := &daemon{}
-	s.SpawnOn(shard, "d", d.loop)
+	s.Spawn("d", d.loop)
 }
 `)
 	g := Build([]*load.Package{pkg})
 	found := false
 	for _, r := range g.Roots {
-		if r.Body == "p.(daemon).loop" && r.Kind == ConfinedRoot {
+		if r.Body == "p.(daemon).loop" {
 			found = true
 		}
 	}
@@ -320,11 +303,7 @@ func edgeSet(g *Graph, id FuncID) map[string]bool {
 func rootList(g *Graph) []string {
 	var out []string
 	for _, r := range g.Roots {
-		kind := "confined"
-		if r.Kind == ExclusiveRoot {
-			kind = "exclusive"
-		}
-		out = append(out, strings.Join([]string{string(r.Body), kind, r.Via}, "/"))
+		out = append(out, strings.Join([]string{string(r.Body), r.Via}, "/"))
 	}
 	return out
 }

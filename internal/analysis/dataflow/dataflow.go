@@ -1,8 +1,8 @@
 // Package dataflow computes bottom-up per-function summaries over the
 // SCC-condensed call graph (internal/analysis/callgraph) and exposes them
-// to the interprocedural analyzers (simtaint, confine, sharded) as a Tree.
+// to the interprocedural analyzer (simtaint) as a Tree.
 //
-// The engine is deliberately modest (DESIGN.md §16): flow- and
+// The engine is deliberately modest (DESIGN.md §14): flow- and
 // path-insensitive, one taint environment per top-level declaration
 // (nested literals share their parent's environment, so captured-variable
 // taint propagates lexically), with a small bit-lattice per value:
@@ -20,11 +20,9 @@
 // reverse topological order, iterating inside recursive components —
 // terminates; TestRecursiveConvergence pins that.
 //
-// Local contract facts (banned sim API calls, raw concurrency, global
-// writes, unsharded metrics mutators, tainted sink hits) are recorded per
-// node with stable file:line positions so they can be cached per package
-// and replayed without re-analysis; confine and sharded join them against
-// confined reachability, simtaint against file exemptions.
+// Tainted sink hits are recorded per node with stable file:line positions
+// so they can be cached per package and replayed without re-analysis;
+// simtaint joins them against file exemptions.
 package dataflow
 
 import (
@@ -80,25 +78,19 @@ func paramMark(i int) Kind {
 	return 1 << (markerShift + i)
 }
 
-// Fact is one position-stamped local observation, cacheable across runs.
-type Fact struct {
-	Pos  token.Position `json:"pos"`
-	What string         `json:"what"`
-}
-
 // SinkHit is a tainted value reaching a determinism-sensitive sink.
 type SinkHit struct {
 	Pos   token.Position `json:"pos"`
 	Kinds Kind           `json:"kinds"` // source bits that arrived
-	Sink  string         `json:"sink"`  // what it reached ("Env.Emit", "via q.helper", ...)
+	Sink  string         `json:"sink"`  // what it reached ("trace.(Log).Append", "via q.helper", ...)
 }
 
 // RangeEmitHit is a call, inside a map-range body, to a function whose
 // summary says it emits order-sensitively — the interprocedural maporder
 // violation the per-function analyzer cannot see.
 type RangeEmitHit struct {
-	Pos    token.Position    `json:"pos"`
-	Callee callgraph.FuncID  `json:"callee"`
+	Pos    token.Position   `json:"pos"`
+	Callee callgraph.FuncID `json:"callee"`
 }
 
 // Summary is what callers may rely on about one function.
@@ -122,13 +114,6 @@ type Summary struct {
 	// callee — calling it once per map-range iteration emits in map
 	// order.
 	Emits bool `json:"emits,omitempty"`
-
-	// Local facts (this node's own body, literals excluded — they carry
-	// their own), joined against reachability by confine/sharded.
-	BannedCalls      []Fact `json:"banned_calls,omitempty"`
-	Concurrency      []Fact `json:"concurrency,omitempty"`
-	GlobalWrites     []Fact `json:"global_writes,omitempty"`
-	UnshardedMetrics []Fact `json:"unsharded_metrics,omitempty"`
 
 	// SinkHits and RangeEmitHits are the simtaint raw findings for this
 	// node, before file exemptions and suppressions.
@@ -166,9 +151,7 @@ const (
 
 // Trusted reports whether a package's interior is exempt from analysis:
 // the simulation substrate and the analysis tooling itself. Their public
-// APIs are modeled (models table) instead of analyzed — sim.Mailbox.Send
-// mutating its receiver is the mechanism that makes cross-shard traffic
-// legal, not a violation of it.
+// APIs are modeled (models table) instead of analyzed.
 func Trusted(importPath string) bool {
 	switch importPath {
 	case simPkg, tracePkg, metricsPkg, statsPkg:
@@ -181,22 +164,18 @@ func Trusted(importPath string) bool {
 // Param numbering counts the receiver as param 0.
 var models = map[callgraph.FuncID]*Summary{
 	// Trace emission: the determinism goldens' raw material.
-	simPkg + ".(Env).Emit":       {SinkParams: pbits(1, 2), Emits: true},
-	tracePkg + ".(Log).Append":   {SinkParams: pbits(1, 2, 3), Emits: true},
+	tracePkg + ".(Log).Append": {SinkParams: pbits(1, 2, 3), Emits: true},
 	// Metrics values land in Snapshot.Text, which goldens compare.
-	metricsPkg + ".(Counter).Add":         {SinkParams: pbits(1)},
-	metricsPkg + ".(Counter).AddSlot":     {SinkParams: pbits(2)},
-	metricsPkg + ".(Timing).Observe":      {SinkParams: pbits(1)},
-	metricsPkg + ".(Timing).ObserveSlot":  {SinkParams: pbits(2)},
-	metricsPkg + ".(Gauge).Set":           {SinkParams: pbits(1)},
-	metricsPkg + ".(Gauge).Add":           {SinkParams: pbits(1)},
+	metricsPkg + ".(Counter).Add":    {SinkParams: pbits(1)},
+	metricsPkg + ".(Timing).Observe": {SinkParams: pbits(1)},
+	metricsPkg + ".(Gauge).Set":      {SinkParams: pbits(1)},
+	metricsPkg + ".(Gauge).Add":      {SinkParams: pbits(1)},
 	// Deterministic clocks/randomness: returns are clean.
-	simPkg + ".(Env).Now":       {},
-	simPkg + ".(Env).Rand":      {},
-	simPkg + ".(Env).LocalRand": {},
+	simPkg + ".(Env).Now":  {},
+	simPkg + ".(Env).Rand": {},
 	// Stdlib map-order sources.
-	"maps.Keys":   {ReturnTaint: KMapOrder},
-	"maps.Values": {ReturnTaint: KMapOrder},
+	"maps.Keys":               {ReturnTaint: KMapOrder},
+	"maps.Values":             {ReturnTaint: KMapOrder},
 	"reflect.(Value).MapKeys": {ReturnTaint: KMapOrder},
 }
 

@@ -1,12 +1,10 @@
 package dataflow
 
 import (
-	"fmt"
 	"go/ast"
 	"go/parser"
 	"go/token"
 	"go/types"
-	"sort"
 	"testing"
 
 	"sprite/internal/analysis/callgraph"
@@ -60,13 +58,20 @@ func (*Rand) Intn(n int) int { return 0 }
 type Env struct{}
 type Simulation struct{}
 
-func (*Env) Emit(kind, detail string)                                   {}
 func (*Env) Rand() *Rand                                                { return nil }
-func (*Env) LocalRand() *Rand                                           { return nil }
 func (*Env) Spawn(name string, fn func(*Env) error)                     {}
-func (*Env) SpawnOn(shard int, name string, fn func(*Env) error)        {}
-func (*Simulation) SpawnOn(shard int, name string, fn func(*Env) error) {}
+func (*Simulation) Spawn(name string, fn func(*Env) error)              {}
 func (*Simulation) Rand() *Rand                                         { return nil }
+`
+
+// fakeTrace mirrors the trace sink the models table classifies.
+const fakeTrace = `package trace
+
+import "time"
+
+type Log struct{}
+
+func (*Log) Append(at time.Duration, kind, detail string) {}
 `
 
 func analyzeSrc(t *testing.T, src string) *Tree {
@@ -75,8 +80,9 @@ func analyzeSrc(t *testing.T, src string) *Tree {
 	imp := mapImporter{}
 	tm := checkPkg(t, fset, imp, "time", fakeTime)
 	sim := checkPkg(t, fset, imp, "sprite/internal/sim", fakeSim)
+	tr := checkPkg(t, fset, imp, "sprite/internal/trace", fakeTrace)
 	p := checkPkg(t, fset, imp, "p", src)
-	return Analyze([]*load.Package{tm, sim, p}, Options{})
+	return Analyze([]*load.Package{tm, sim, tr, p}, Options{})
 }
 
 // TestRecursiveConvergence pins the satellite requirement: summaries on a
@@ -118,17 +124,17 @@ func TestSinkParamAndInterproceduralHit(t *testing.T) {
 	tree := analyzeSrc(t, `package p
 
 import (
-	sim "sprite/internal/sim"
+	"sprite/internal/trace"
 	"time"
 )
 
-func logIt(env *sim.Env, s string) { env.Emit("k", s) }
+func logIt(lg *trace.Log, s string) { lg.Append(0, "k", s) }
 
 func now() string { return time.Now().String() }
 
-func caller(env *sim.Env) { logIt(env, now()) }
+func caller(lg *trace.Log) { logIt(lg, now()) }
 `)
-	// logIt's param 1 (env is 0) reaches Env.Emit.
+	// logIt's param 1 (lg is 0) reaches Log.Append.
 	if s := tree.Sums["p.logIt"]; s == nil || s.SinkParams&(1<<1) == 0 {
 		t.Fatalf("logIt should report SinkParams bit 1, got %+v", tree.Sums["p.logIt"])
 	}
@@ -176,7 +182,7 @@ func keysUnsorted(m map[string]int) []string {
 func TestMutationsEmitsAndRangeHits(t *testing.T) {
 	tree := analyzeSrc(t, `package p
 
-import sim "sprite/internal/sim"
+import "sprite/internal/trace"
 
 var registry = map[string]int{}
 
@@ -184,11 +190,11 @@ func poke() { registry["x"] = 1 }
 
 func record(out *[]string, s string) { *out = append(*out, s) }
 
-func helperEmit(env *sim.Env, s string) { env.Emit("k", s) }
+func helperEmit(lg *trace.Log, s string) { lg.Append(0, "k", s) }
 
-func useRange(m map[string]string, env *sim.Env) {
+func useRange(m map[string]string, lg *trace.Log) {
 	for k := range m {
-		helperEmit(env, k)
+		helperEmit(lg, k)
 	}
 }
 `)
@@ -202,7 +208,7 @@ func useRange(m map[string]string, env *sim.Env) {
 	if s == nil || len(s.RangeEmitHits) != 1 || s.RangeEmitHits[0].Callee != "p.helperEmit" {
 		t.Errorf("map-range calling an emitter is the interprocedural maporder hit: %+v", s)
 	}
-	// The map key reaching Emit through helperEmit is also a taint hit.
+	// The map key reaching Append through helperEmit is also a taint hit.
 	found := false
 	for _, h := range s.SinkHits {
 		if h.Kinds&KMapOrder != 0 {
@@ -210,53 +216,6 @@ func useRange(m map[string]string, env *sim.Env) {
 		}
 	}
 	if !found {
-		t.Errorf("map-order key flowing into Emit via helper should hit: %+v", s.SinkHits)
+		t.Errorf("map-order key flowing into Append via helper should hit: %+v", s.SinkHits)
 	}
-}
-
-func TestConfinedReachabilityAndFacts(t *testing.T) {
-	tree := analyzeSrc(t, `package p
-
-import sim "sprite/internal/sim"
-
-func confinedBody(env *sim.Env) error {
-	helper(env)
-	return nil
-}
-
-func helper(env *sim.Env) { deep(env) }
-
-func deep(env *sim.Env) { _ = env.Rand() }
-
-func boot(s *sim.Simulation, shard int) {
-	s.SpawnOn(shard, "x", confinedBody)
-}
-`)
-	reach := tree.ConfinedReachable()
-	ch := reach["p.deep"]
-	if ch == nil {
-		t.Fatalf("deep should be confined-reachable; reach=%v", keys(reach))
-	}
-	wantPath := []callgraph.FuncID{"p.confinedBody", "p.helper", "p.deep"}
-	if len(ch.Path) != len(wantPath) {
-		t.Fatalf("chain %v, want %v", ch.Path, wantPath)
-	}
-	for i := range wantPath {
-		if ch.Path[i] != wantPath[i] {
-			t.Fatalf("chain %v, want %v", ch.Path, wantPath)
-		}
-	}
-	s := tree.Sums["p.deep"]
-	if s == nil || len(s.BannedCalls) != 1 {
-		t.Fatalf("deep calls Env.Rand (banned confined): %+v", s)
-	}
-}
-
-func keys[K comparable, V any](m map[K]V) []string {
-	var out []string
-	for k := range m {
-		out = append(out, fmt.Sprint(k))
-	}
-	sort.Strings(out)
-	return out
 }

@@ -44,21 +44,6 @@ func dedupeSorted(in []string, cap_ int) []string {
 	return out
 }
 
-// exclusiveOnlySim are the sim APIs whose runtime guards panic off the
-// exclusive shard (sim.go exclusiveOnly); confined-reachable code calling
-// one is a contract violation caught before it runs.
-var exclusiveOnlySim = map[string]bool{
-	"Rand": true, "Spawn": true, "SpawnOn": true, "After": true, "Stop": true,
-}
-
-// unshardedMetrics maps the contended metrics mutators to their
-// slot-sharded replacements (DESIGN.md §13).
-var unshardedMetrics = map[string]string{
-	"Counter.Inc":    "Counter.IncSlot",
-	"Counter.Add":    "Counter.AddSlot",
-	"Timing.Observe": "Timing.ObserveSlot",
-}
-
 // emitMethodNames are the order-sensitive output methods maporder
 // recognizes; a call on an escaping receiver makes the function an
 // emitter.
@@ -73,12 +58,6 @@ func (st *unitState) extractNode(n *callgraph.Node) {
 	if body == nil {
 		return
 	}
-	fset := st.pkg.Fset
-
-	fact := func(list *[]Fact, pos token.Pos, what string) {
-		*list = append(*list, Fact{Pos: fset.Position(pos), What: what})
-	}
-
 	inspectShallow(body, func(nd ast.Node) bool {
 		switch nd := nd.(type) {
 		case *ast.FuncLit:
@@ -94,22 +73,13 @@ func (st *unitState) extractNode(n *callgraph.Node) {
 				})
 			}
 		case *ast.AssignStmt:
-			st.extractAssign(n, sum, nd, fact)
+			st.extractAssign(n, sum, nd)
 		case *ast.IncDecStmt:
-			st.extractWrite(n, sum, nd.X, false, fact, nd.Pos())
+			st.extractWrite(n, sum, nd.X, false)
 		case *ast.SendStmt:
-			fact(&sum.Concurrency, nd.Pos(), "channel send (cross-shard traffic must use sim.Mailbox)")
 			sum.Emits = true
-		case *ast.UnaryExpr:
-			if nd.Op == token.ARROW {
-				fact(&sum.Concurrency, nd.Pos(), "channel receive (cross-shard traffic must use sim.Mailbox)")
-			}
-		case *ast.GoStmt:
-			fact(&sum.Concurrency, nd.Pos(), "raw go statement (activities must be spawned through sim)")
-		case *ast.SelectStmt:
-			fact(&sum.Concurrency, nd.Pos(), "select statement (raw channel scheduling outside sim)")
 		case *ast.CallExpr:
-			st.extractCall(n, sum, nd, fact)
+			st.extractCall(n, sum, nd)
 		case *ast.RangeStmt:
 			st.extractRange(n, sum, nd)
 		}
@@ -128,13 +98,13 @@ func (st *unitState) markerFold(k Kind, f func(markerOwner)) {
 
 // extractAssign handles writes: global mutation, param mutation, and
 // order-sensitive emission (append/string-concat into escaping state).
-func (st *unitState) extractAssign(n *callgraph.Node, sum *Summary, a *ast.AssignStmt, fact func(*[]Fact, token.Pos, string)) {
+func (st *unitState) extractAssign(n *callgraph.Node, sum *Summary, a *ast.AssignStmt) {
 	if a.Tok == token.DEFINE {
 		return
 	}
 	for i, lhs := range a.Lhs {
 		compound := !isIdent(lhs)
-		st.extractWrite(n, sum, lhs, compound, fact, a.Pos())
+		st.extractWrite(n, sum, lhs, compound)
 		// Emission: x = append(x, ...) or s += ... into escaping state.
 		if i < len(a.Rhs) {
 			rhs := a.Rhs[i]
@@ -171,15 +141,13 @@ func isStringType(info *types.Info, e ast.Expr) bool {
 // extractWrite classifies one lvalue write. Plain-ident writes to locals
 // and params rebind a copy and are ignored; compound writes through a
 // reference-like base escape to whoever shares the base.
-func (st *unitState) extractWrite(n *callgraph.Node, sum *Summary, lhs ast.Expr, compound bool, fact func(*[]Fact, token.Pos, string), pos token.Pos) {
+func (st *unitState) extractWrite(n *callgraph.Node, sum *Summary, lhs ast.Expr, compound bool) {
 	obj := baseObj(st.info(), lhs)
 	if obj == nil {
 		return
 	}
 	if isGlobalVar(obj) {
-		name := globalName(obj)
-		fact(&sum.GlobalWrites, pos, "writes package-level "+name)
-		sum.MutatesGlobals = append(sum.MutatesGlobals, name)
+		sum.MutatesGlobals = append(sum.MutatesGlobals, globalName(obj))
 		return
 	}
 	if !compound && isIdent(lhs) {
@@ -240,45 +208,18 @@ func (st *unitState) escaping(n *callgraph.Node, obj types.Object) bool {
 	return obj.Pos() < start || obj.Pos() > end
 }
 
-func (st *unitState) extractCall(n *callgraph.Node, sum *Summary, call *ast.CallExpr, fact func(*[]Fact, token.Pos, string)) {
+func (st *unitState) extractCall(n *callgraph.Node, sum *Summary, call *ast.CallExpr) {
 	info := st.info()
 
-	// close() on a channel is raw concurrency.
+	// close() on a channel has no summary effect.
 	if id, ok := ast.Unparen(call.Fun).(*ast.Ident); ok {
 		if b, ok := info.Uses[id].(*types.Builtin); ok && b.Name() == "close" {
-			fact(&sum.Concurrency, call.Pos(), "close on raw channel")
 			return
 		}
 	}
 
 	fn := lint.FuncObjOf(info, call)
 	if fn != nil {
-		// Exclusive-only sim API (runtime exclusiveOnly guards).
-		for name := range exclusiveOnlySim {
-			if fn.Name() == name && lint.IsMethod(fn, simPkg, "Simulation", name) {
-				fact(&sum.BannedCalls, call.Pos(),
-					"sim.Simulation."+name+" is exclusive-only (panics on a confined shard)")
-			}
-		}
-		if lint.IsMethod(fn, simPkg, "Mailbox", "Close") {
-			fact(&sum.BannedCalls, call.Pos(), "sim.Mailbox.Close is exclusive-only")
-		}
-		if lint.IsMethod(fn, simPkg, "Env", "Rand") {
-			fact(&sum.BannedCalls, call.Pos(),
-				"sim.Env.Rand is banned on confined shards (use Env.LocalRand)")
-		}
-		// Unsharded metrics mutators.
-		for m, repl := range unshardedMetrics {
-			typ, meth, _ := strings.Cut(m, ".")
-			if lint.IsMethod(fn, metricsPkg, typ, meth) {
-				fact(&sum.UnshardedMetrics, call.Pos(),
-					"metrics."+m+" contends across shards (use "+repl+" with sim.WorkerSlot)")
-			}
-		}
-		if lint.IsMethod(fn, metricsPkg, "Gauge", "Set") || lint.IsMethod(fn, metricsPkg, "Gauge", "Add") {
-			fact(&sum.UnshardedMetrics, call.Pos(),
-				"metrics.Gauge."+fn.Name()+" is deliberately unsharded; gauges must be driven from the exclusive shard")
-		}
 		// Output emission.
 		if fn.Pkg() != nil && fn.Pkg().Path() == "fmt" && strings.HasPrefix(fn.Name(), "Print") {
 			sum.Emits = true
@@ -324,9 +265,7 @@ func (st *unitState) extractCall(n *callgraph.Node, sum *Summary, call *ast.Call
 					continue
 				}
 				if isGlobalVar(obj) {
-					name := globalName(obj)
-					fact(&sum.GlobalWrites, call.Pos(), "passes package-level "+name+" to mutating "+shortID(id))
-					sum.MutatesGlobals = append(sum.MutatesGlobals, name)
+					sum.MutatesGlobals = append(sum.MutatesGlobals, globalName(obj))
 				} else if owner, idx, ok := st.paramOf(obj); ok && refLike(obj.Type()) {
 					if os := st.sums[owner]; os != nil {
 						os.MutatesParams |= 1 << idx

@@ -5,12 +5,12 @@
 // The per-function walltime/globalrand/maporder analyzers flag the source
 // expressions themselves; simtaint closes the interprocedural gap: a
 // helper that returns time.Now().String() is clean in isolation, and so
-// is the caller that hands an opaque string to env.Emit — only the
+// is the caller that hands an opaque string to a trace Log — only the
 // whole-tree taint summaries (internal/analysis/dataflow) connect the
 // two. Diagnostics land at the call site where the tainted value enters
 // the sink, the one place a fix applies.
 //
-// Files on walltime's allow list (wallclock.go, bench_test.go, ...) keep
+// Files on walltime's allow list (wallclock.go, bench_test.go) keep
 // their wall-clock exemption: taint is still computed through them, but
 // wall-clock sink hits inside them are not reported.
 package simtaint
@@ -56,7 +56,7 @@ func run(t *dataflow.Tree) ([]lint.Diagnostic, error) {
 				Pos:      h.Pos,
 				Analyzer: "simtaint",
 				Message: fmt.Sprintf(
-					"%s-derived value reaches %s; goldens and seed replay diverge — derive it from env.Now()/env.LocalRand() or keep it out of the sink",
+					"%s-derived value reaches %s; goldens and seed replay diverge — derive it from env.Now()/env.Rand() or keep it out of the sink",
 					kinds.SourceString(), h.Sink),
 			})
 		}

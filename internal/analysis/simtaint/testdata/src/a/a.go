@@ -11,42 +11,43 @@ import (
 	"time"
 
 	sim "sprite/internal/sim"
+	"sprite/internal/trace"
 )
 
 func stamp() string { return time.Now().Format(time.RFC3339) }
 
 func jitter() int { return rand.Intn(10) }
 
-func report(env *sim.Env) {
-	env.Emit("host.up", stamp()) // want `wall-clock-derived value reaches sim\.\(Env\)\.Emit; goldens and seed replay diverge`
+func report(env *sim.Env, lg *trace.Log) {
+	lg.Append(env.Now(), "host.up", stamp()) // want `wall-clock-derived value reaches trace\.\(Log\)\.Append; goldens and seed replay diverge`
 }
 
-func emitJitter(env *sim.Env) {
-	env.Emit("host.jitter", strconv.Itoa(jitter())) // want `global-rand-derived value reaches sim\.\(Env\)\.Emit`
+func emitJitter(env *sim.Env, lg *trace.Log) {
+	lg.Append(env.Now(), "host.jitter", strconv.Itoa(jitter())) // want `global-rand-derived value reaches trace\.\(Log\)\.Append`
 }
 
-// clean: deterministic clocks and per-shard randomness carry no taint.
-func reportClean(env *sim.Env) {
-	env.Emit("host.tick", strconv.Itoa(int(env.Now())))
-	env.Emit("host.pick", strconv.Itoa(env.LocalRand().Intn(10)))
+// clean: the simulation's clock and seeded random stream carry no taint.
+func reportClean(env *sim.Env, lg *trace.Log) {
+	lg.Append(env.Now(), "host.tick", strconv.Itoa(int(env.Now())))
+	lg.Append(env.Now(), "host.pick", strconv.Itoa(env.Rand().Intn(10)))
 }
 
-func helperEmit(env *sim.Env, k string) { env.Emit("host.key", k) }
+func helperEmit(lg *trace.Log, k string) { lg.Append(0, "host.key", k) }
 
-func dump(env *sim.Env, m map[string]string) {
+func dump(lg *trace.Log, m map[string]string) {
 	for k := range m {
-		helperEmit(env, k) // want `a\.helperEmit emits order-sensitively and is called once per map iteration` `map-order-derived value reaches via a\.helperEmit`
+		helperEmit(lg, k) // want `a\.helperEmit emits order-sensitively and is called once per map iteration` `map-order-derived value reaches via a\.helperEmit`
 	}
 }
 
 // dumpSorted is forgiven: the keys are sorted before the emitting loop.
-func dumpSorted(env *sim.Env, m map[string]string) {
+func dumpSorted(lg *trace.Log, m map[string]string) {
 	var ks []string
 	for k := range m {
 		ks = append(ks, k)
 	}
 	sort.Strings(ks)
 	for _, k := range ks {
-		helperEmit(env, k)
+		helperEmit(lg, k)
 	}
 }

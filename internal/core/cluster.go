@@ -2,11 +2,7 @@ package core
 
 import (
 	"fmt"
-	"os"
-	"runtime"
 	"sort"
-	"strconv"
-	"sync"
 	"time"
 
 	"sprite/internal/fs"
@@ -15,31 +11,6 @@ import (
 	"sprite/internal/rpc"
 	"sprite/internal/sim"
 )
-
-// applyEnvParallel lets CI suites opt whole test binaries into the parallel
-// kernel without touching scenario code: SPRITE_SIM_PARALLEL=1 (or =true)
-// enables it with GOMAXPROCS workers, SPRITE_SIM_PARALLEL=N (N>1) pins the
-// worker count, unset/0/false leaves the configured kernel alone. Because
-// the parallel kernel commits the serial order bit-for-bit, this is safe to
-// set across any suite — it is how `make race` audits the worker handoffs.
-func applyEnvParallel(p *SimParams) {
-	v := os.Getenv("SPRITE_SIM_PARALLEL")
-	if v != "" && v != "0" && v != "false" {
-		p.Parallel = true
-		if n, err := strconv.Atoi(v); err == nil && n > 1 {
-			p.Workers = n
-		}
-	}
-	// SPRITE_SIM_CONFINE=1 additionally homes every host on its own shard.
-	// Unlike SPRITE_SIM_PARALLEL this is NOT safe across arbitrary suites:
-	// confined clusters reject crashes, migration aborts, and shard-0
-	// process joins (DESIGN.md §14), so only point it at suites written for
-	// the confined contract (the `make race-confined` / `chaos-confined`
-	// legs select those by name).
-	if v := os.Getenv("SPRITE_SIM_CONFINE"); v == "1" || v == "true" {
-		p.ConfineHosts = true
-	}
-}
 
 // Options configures a simulated Sprite cluster.
 type Options struct {
@@ -78,12 +49,6 @@ type Cluster struct {
 	// unconditionally cannot perturb an experiment.
 	metrics *metrics.Registry
 
-	// confined records that every host is homed on its own shard
-	// (Params.Sim.ConfineHosts): process activities spawn on their host's
-	// shard, trace events route through the sim's barrier-ordered sink, and
-	// the cross-shard bookkeeping of migration takes its RPC/rehome paths.
-	confined bool
-
 	trace TraceFunc
 
 	// failpoint, when set, is consulted at named migration steps (fault
@@ -92,11 +57,6 @@ type Cluster struct {
 
 	// The process ledger backs the exactly-once accounting invariant:
 	// every started pid must exit (or be reported crashed) exactly once.
-	// The mutex covers confined clusters, where starts and exits on
-	// different host shards book concurrently inside a window; the counts
-	// are commutative sums and the invariant checker only reads them from
-	// exclusive context, after every window has committed.
-	ledgerMu      sync.Mutex
 	ledgerStarted map[PID]int
 	ledgerEnded   map[PID]int
 
@@ -148,41 +108,16 @@ type TraceFunc func(at time.Duration, kind, detail string)
 
 // SetTrace installs an event sink (nil disables tracing). Finished metric
 // spans (migration phases, etc.) land in the same sink as "span" events.
-// On a confined cluster the sink is wired through the simulation's trace
-// sink instead: confined activities emit via Env.Emit, which buffers
-// in-window events and flushes them at the barrier in committed order, so
-// the sink observes the serial sequence under any worker count. Metric
-// spans are not traced on confined clusters (their completion would call
-// the sink from confined activities directly); the span histograms
-// themselves are still recorded.
 func (c *Cluster) SetTrace(fn TraceFunc) {
 	c.trace = fn
-	if c.confined {
-		c.sim.SetTraceSink(fn)
-		return
-	}
 	c.metrics.SetTrace(fn)
 }
 
-// emit records a trace event if a sink is installed. It is the exclusive-
-// context variant; paths reachable from confined activities use emitEnv.
+// emit records a trace event if a sink is installed.
 func (c *Cluster) emit(at time.Duration, kind, detail string) {
 	if c.trace != nil {
 		c.trace(at, kind, detail)
 	}
-}
-
-// emitEnv records a trace event from an activity. On a confined cluster it
-// routes through Env.Emit so in-window events reach the sink barrier-ordered;
-// otherwise it is exactly emit, preserving the legacy byte-identical stream.
-func (c *Cluster) emitEnv(env *sim.Env, kind, detail string) {
-	if c.confined {
-		if c.trace != nil {
-			env.Emit(kind, detail)
-		}
-		return
-	}
-	c.emit(env.Now(), kind, detail)
 }
 
 // NewCluster builds a cluster per the options.
@@ -197,25 +132,11 @@ func NewCluster(opts Options) (*Cluster, error) {
 	if opts.Params != nil {
 		params = *opts.Params
 	}
-	applyEnvParallel(&params.Sim)
 	s := sim.New(opts.Seed)
-	look := params.Sim.Lookahead
-	if look <= 0 {
-		look = params.Net.Latency
-	}
-	s.SetLookahead(look)
 	net := netsim.New(s, params.Net)
 	transport := rpc.NewTransport(s, net, params.RPC)
 	fsys := fs.New(s, transport, params.FS)
 	reg := metrics.New()
-	if params.Sim.Parallel {
-		w := params.Sim.Workers
-		if w <= 0 {
-			w = runtime.GOMAXPROCS(0)
-		}
-		s.ConfigureParallel(w)
-		reg.EnableSharding(w)
-	}
 	transport.SetMetrics(reg)
 	fsys.SetMetrics(reg)
 
@@ -248,13 +169,6 @@ func NewCluster(opts Options) (*Cluster, error) {
 		k := newKernel(c, host)
 		c.kernels[host] = k
 		c.workstations = append(c.workstations, k)
-	}
-	if params.Sim.ConfineHosts {
-		// Confinement must switch on only after every endpoint has
-		// registered its handlers: ConfineHosts spawns the per-host
-		// dispatcher daemons and freezes the handler tables.
-		c.confined = true
-		c.transport.ConfineHosts(func(h rpc.HostID) int { return int(h) })
 	}
 	return c, nil
 }
@@ -291,11 +205,9 @@ func (c *Cluster) MetricsSnapshot() metrics.Snapshot {
 	r.Gauge("sim.context_switches").Set(int64(ss.ContextSwitches))
 	r.Gauge("sim.max_queue_depth").Set(int64(ss.MaxQueueDepth))
 	r.Gauge("sim.activities_spawned").Set(int64(ss.Spawned))
-	// mig.inflight is derived, not tracked live: the migration hot path runs
-	// confined, where a shared gauge's high-water mark would depend on the
-	// cross-shard interleaving. The identity started == completed + aborted
-	// + inflight (migmeter.go) makes the level recoverable from the sharded
-	// counters at any exclusive point.
+	// mig.inflight is derived from the identity started == completed +
+	// aborted + inflight (migmeter.go) rather than tracked live, so its
+	// rendered high-water mark is the level at snapshot time.
 	r.Gauge("mig.inflight").Set(r.Counter("mig.started").Value() -
 		r.Counter("mig.completed").Value() - r.Counter("mig.aborted").Value())
 	// Every fold below iterates its source map in sorted key order: gauge
@@ -378,30 +290,10 @@ func (c *Cluster) Run(limit time.Duration) error { return c.sim.Run(limit) }
 func (c *Cluster) Stop() { c.sim.Stop() }
 
 // Boot spawns a driver activity at time zero. It is the usual way to inject
-// scenario code into the cluster. On a confined cluster drivers that start,
-// join, or migrate processes must instead boot on the home host's shard via
-// BootOn; a shard-0 driver touching a confined kernel trips the simulation's
-// cross-shard checks.
+// scenario code into the cluster.
 func (c *Cluster) Boot(name string, fn func(env *sim.Env) error) {
 	c.sim.Spawn(name, fn)
 }
-
-// BootOn spawns a driver activity confined to the given host's shard. It is
-// how scenario code enters a confined cluster: the driver shares the host
-// kernel's shard, so StartProcess, Wait, and RequestMigration run without
-// cross-shard coordination. On non-confined clusters every host maps to the
-// exclusive shard, so BootOn degenerates to Boot and scenarios stay portable
-// across both configurations.
-func (c *Cluster) BootOn(host rpc.HostID, name string, fn func(env *sim.Env) error) {
-	if !c.confined {
-		c.sim.Spawn(name, fn)
-		return
-	}
-	c.sim.SpawnOn(int(host), name, fn)
-}
-
-// Confined reports whether the cluster homes each host on its own shard.
-func (c *Cluster) Confined() bool { return c.confined }
 
 // Seed creates a file in the shared FS without charging virtual time
 // (scenario setup).

@@ -43,33 +43,11 @@ func (c *Cluster) FailAt(env *sim.Env, name string, pid PID) error {
 // --- process ledger ---
 
 func (c *Cluster) noteStart(pid PID) {
-	c.ledgerMu.Lock()
 	c.ledgerStarted[pid]++
-	c.ledgerMu.Unlock()
 }
 
 func (c *Cluster) noteEnd(pid PID) {
-	c.ledgerMu.Lock()
 	c.ledgerEnded[pid]++
-	c.ledgerMu.Unlock()
-}
-
-// confinedNoCrash guards the crash/restart plane on confined clusters: a
-// crash must destroy processes, wake waiters, and scrub file state across
-// every host at a single instant — inherently cross-shard work that the
-// confined contract excludes (DESIGN.md §14). Suites that inject crashes run
-// on ordinary clusters, where every host shares the exclusive shard. The
-// panic carries a typed *sim.ConfinedContractError so chaos suites that hit
-// the contract by mistake can match errors.Is(err, sim.ErrConfinedContract)
-// on the surfaced activity error instead of grepping a bare string.
-func (c *Cluster) confinedNoCrash(what string, host rpc.HostID) {
-	if c.confined {
-		panic(&sim.ConfinedContractError{
-			Op:     what,
-			Host:   fmt.Sprintf("host %v", host),
-			Reason: "crash recovery is cross-shard work",
-		})
-	}
 }
 
 // --- host crash, restart, reboot, and reaping ---
@@ -127,7 +105,6 @@ func (c *Cluster) ReapedEpoch(host rpc.HostID) rpc.Epoch { return c.reapedEpochs
 // the ordinary kill path at their next migration point, closing their
 // descriptors for real — their kernels are still alive.
 func (c *Cluster) CrashHost(env *sim.Env, host rpc.HostID) {
-	c.confinedNoCrash("CrashHost", host)
 	epoch := rpc.Epoch(0)
 	if ep := c.transport.Endpoint(host); ep != nil {
 		epoch = ep.Epoch()
@@ -171,7 +148,6 @@ func (c *Cluster) CrashHost(env *sim.Env, host rpc.HostID) {
 // incarnation-safe sequence), so pids from before the crash are never
 // reused.
 func (c *Cluster) RestartHost(env *sim.Env, host rpc.HostID) {
-	c.confinedNoCrash("RestartHost", host)
 	if ep := c.transport.Endpoint(host); ep != nil {
 		ep.Restart()
 	}
@@ -185,7 +161,6 @@ func (c *Cluster) RestartHost(env *sim.Env, host rpc.HostID) {
 // under the next boot epoch. Detectors tell the reboot from an unbroken run
 // by the epoch carried in RPC replies.
 func (c *Cluster) Reboot(env *sim.Env, host rpc.HostID) {
-	c.confinedNoCrash("Reboot", host)
 	ep := c.transport.Endpoint(host)
 	if ep == nil {
 		return
@@ -225,7 +200,6 @@ func (c *Cluster) Reboot(env *sim.Env, host rpc.HostID) {
 //   - File servers close streams and refcounts owned by the dead epoch (a
 //     no-op when the crash itself already scrubbed them).
 func (c *Cluster) ReapDeadHost(env *sim.Env, host rpc.HostID, epoch rpc.Epoch) {
-	c.confinedNoCrash("ReapDeadHost", host)
 	if epoch == 0 || c.reapedEpochs[host] >= epoch {
 		return
 	}

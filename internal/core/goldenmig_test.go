@@ -18,11 +18,10 @@ var updateGolden = flag.Bool("update-golden", false, "rewrite the migration snap
 // heap, one migration, a touchback — and renders everything observable about
 // it: the record's full phase decomposition, the bulk data-plane counters,
 // and the whole metrics snapshot.
-func migrationSnapshot(t *testing.T, seed int64, batched bool, simp SimParams) string {
+func migrationSnapshot(t *testing.T, seed int64, batched bool) string {
 	t.Helper()
 	params := DefaultParams()
 	params.Batch.Enabled = batched
-	params.Sim = simp
 	c, err := NewCluster(Options{Workstations: 2, FileServers: 1, Seed: seed, Params: &params})
 	if err != nil {
 		t.Fatal(err)
@@ -85,11 +84,11 @@ func TestGoldenMigrationSnapshots(t *testing.T) {
 			mode = "batched"
 		}
 		t.Run(mode, func(t *testing.T) {
-			got := migrationSnapshot(t, 1, batched, SimParams{})
-			if again := migrationSnapshot(t, 1, batched, SimParams{}); again != got {
+			got := migrationSnapshot(t, 1, batched)
+			if again := migrationSnapshot(t, 1, batched); again != got {
 				t.Fatalf("same-seed reruns differ:\n--- first ---\n%s\n--- second ---\n%s", got, again)
 			}
-			if other := migrationSnapshot(t, 2, batched, SimParams{}); other != got {
+			if other := migrationSnapshot(t, 2, batched); other != got {
 				t.Fatalf("seed 2 diverged from seed 1:\n--- seed1 ---\n%s\n--- seed2 ---\n%s", got, other)
 			}
 			path := filepath.Join("testdata", "migration_"+mode+".golden")

@@ -4,14 +4,17 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
 	"testing"
 )
 
-// TestGoldenFrozenUnderParallelKernel is the golden freeze: the committed
-// migration snapshots must pass byte-for-byte with the conservative
-// parallel kernel switched on, at every worker count. The parallel kernel
-// commits the serial event order exactly, so a golden that moves here is a
-// kernel bug, never an acceptable regeneration.
+// TestGoldenFrozenUnderParallelKernel is the golden freeze under host
+// parallelism: the committed migration snapshots must pass byte for byte
+// when `workers` independent kernels run the pinned scenario at once, with
+// the Go runtime on `workers` OS threads. Each kernel hands control between
+// its activities one at a time, so neither other kernels in the process nor
+// the thread count may reach its output; a golden that moves here is shared
+// state leaking between clusters, never an acceptable regeneration.
 func TestGoldenFrozenUnderParallelKernel(t *testing.T) {
 	for _, batched := range []bool{true, false} {
 		mode := "legacy"
@@ -24,12 +27,18 @@ func TestGoldenFrozenUnderParallelKernel(t *testing.T) {
 		}
 		for _, workers := range []int{2, 4, 8} {
 			t.Run(fmt.Sprintf("%s/workers%d", mode, workers), func(t *testing.T) {
-				got := migrationSnapshot(t, 1, batched, SimParams{Parallel: true, Workers: workers})
-				if got != string(want) {
-					t.Fatalf("parallel kernel moved the %s golden:\n--- got ---\n%s\n--- want ---\n%s", mode, got, want)
+				prev := runtime.GOMAXPROCS(workers)
+				t.Cleanup(func() { runtime.GOMAXPROCS(prev) })
+				for k := 0; k < workers; k++ {
+					t.Run(fmt.Sprintf("kernel%d", k), func(t *testing.T) {
+						t.Parallel()
+						got := migrationSnapshot(t, 1, batched)
+						if got != string(want) {
+							t.Fatalf("concurrent kernel moved the %s golden:\n--- got ---\n%s\n--- want ---\n%s", mode, got, want)
+						}
+					})
 				}
 			})
 		}
 	}
 }
-

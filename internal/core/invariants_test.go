@@ -91,3 +91,83 @@ func TestInvariantsCleanOnHealthyRun(t *testing.T) {
 		t.Errorf("healthy end of run reported %v", v)
 	}
 }
+
+// TestStreamReunionKeepsServerRefsBalanced: a process shares an open file
+// with a forked holder, migrates away, and migrates back to the host where
+// the holder still has the stream open. The return hop reunites the
+// stream's sharers on one host; the file server must keep counting that
+// host once, so after everyone closes no open reference is left behind.
+func TestStreamReunionKeepsServerRefsBalanced(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		mode fs.OpenMode
+	}{
+		{"read-write", fs.ReadWriteMode},
+		{"read", fs.ReadMode},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			c := newCluster(t, 2)
+			if err := c.Seed("/data/shared", []byte("reunion")); err != nil {
+				t.Fatal(err)
+			}
+			h0, h1 := c.Workstation(0), c.Workstation(1)
+			c.Boot("boot", func(env *sim.Env) error {
+				p, err := h0.StartProcess(env, "parent", func(ctx *Ctx) error {
+					fd, err := ctx.Open("/data/shared", tc.mode, fs.OpenOptions{})
+					if err != nil {
+						return err
+					}
+					rfd, wfd, err := ctx.Pipe()
+					if err != nil {
+						return err
+					}
+					// The holder keeps its inherited reference to the file
+					// open on h0 until the parent is back home.
+					if _, err := ctx.Fork("holder", func(cc *Ctx) error {
+						if _, err := cc.Read(rfd, 1); err != nil {
+							return err
+						}
+						if err := cc.Close(fd); err != nil {
+							return err
+						}
+						if err := cc.Close(rfd); err != nil {
+							return err
+						}
+						return cc.Close(wfd)
+					}, smallProc); err != nil {
+						return err
+					}
+					if err := ctx.Close(rfd); err != nil {
+						return err
+					}
+					if err := ctx.Migrate(h1.Host()); err != nil {
+						return err
+					}
+					if err := ctx.Migrate(h0.Host()); err != nil {
+						return err
+					}
+					if _, err := ctx.Write(wfd, []byte{1}); err != nil {
+						return err
+					}
+					if err := ctx.Close(wfd); err != nil {
+						return err
+					}
+					if err := ctx.Close(fd); err != nil {
+						return err
+					}
+					_, _, err = ctx.Wait()
+					return err
+				}, smallProc)
+				if err != nil {
+					return err
+				}
+				_, err = p.Exited().Wait(env)
+				return err
+			})
+			runCluster(t, c)
+			if v := c.CheckInvariants(true); len(v) != 0 {
+				t.Errorf("end of run reported %v", v)
+			}
+		})
+	}
+}

@@ -254,20 +254,12 @@ func (k *Kernel) startProcess(env *sim.Env, name string, prog Program, cfg ProcC
 	k.procs[pid] = p
 	k.stats.ProcsStarted++
 	k.cluster.noteStart(pid)
-	k.cluster.emitEnv(env, "proc-start", fmt.Sprintf("%v %s on %v", pid, name, k.host))
+	k.cluster.emit(env.Now(), "proc-start", fmt.Sprintf("%v %s on %v", pid, name, k.host))
 
 	body := func(penv *sim.Env) error {
 		return k.runProcess(penv, p, cfg)
 	}
-	if k.cluster.confined {
-		// The process activity belongs to its host's shard. env.Spawn would
-		// inherit the caller's shard, which is right when the driver booted
-		// via BootOn — pinning explicitly makes a misplaced driver fail at
-		// spawn time instead of at the first cross-shard wake.
-		env.SpawnOn(int(k.host), fmt.Sprintf("proc-%v-%s", pid, name), body)
-	} else {
-		env.Spawn(fmt.Sprintf("proc-%v-%s", pid, name), body)
-	}
+	env.Spawn(fmt.Sprintf("proc-%v-%s", pid, name), body)
 	return p, nil
 }
 
@@ -395,9 +387,7 @@ func (p *Process) exitCleanup(env *sim.Env) error {
 			return err
 		}
 	}
-	if p.Foreign() && !k.cluster.confined {
-		// Confined clusters skip this: finishExit itself sends the notify, so
-		// error-path exits (which bypass exitCleanup) also settle the home.
+	if p.Foreign() {
 		if _, err := k.ep.Call(env, p.home.host, "k.exitNotify", exitNotifyArgs{
 			PID: p.pid, Status: p.exitStatus,
 		}, 32); err != nil {
@@ -412,33 +402,13 @@ func (p *Process) exitCleanup(env *sim.Env) error {
 	return nil
 }
 
-// finishExit updates tables and resolves futures. On ordinary clusters it
-// charges no time; on a confined cluster a foreign exit sends the
-// k.exitNotify RPC from here, because the home half — the record, the
-// process's visible state, and the exited future (whose waiters live on the
-// home shard) — must settle on the home host's shard, and routing it through
-// finishExit covers the error-path exits that never reach exitCleanup.
+// finishExit updates tables and resolves futures. It charges no time.
 func (p *Process) finishExit(env *sim.Env, status int) {
 	k := p.cur
 	delete(k.procs, p.pid)
 	k.stats.ProcsExited++
 	k.cluster.noteEnd(p.pid)
-	k.cluster.emitEnv(env, "proc-exit", fmt.Sprintf("%v %s status=%d on %v", p.pid, p.name, status, k.host))
-	if k.cluster.confined && p.Foreign() {
-		if req := p.migrateReq; req != nil {
-			p.migrateReq = nil
-			req.done.Complete(nil, fmt.Errorf("%w: exited before migration", ErrNoSuchProcess))
-		}
-		if _, err := k.ep.Call(env, p.home.host, "k.exitNotify", exitNotifyArgs{
-			PID: p.pid, Status: status,
-		}, 32); err != nil {
-			// No crashes under confinement, so the home is reachable by
-			// contract; a failure here is a bug, and swallowing it would hang
-			// every waiter on p.exited.
-			panic(fmt.Sprintf("core: confined exit notify for %v: %v", p.pid, err))
-		}
-		return
-	}
+	k.cluster.emit(env.Now(), "proc-exit", fmt.Sprintf("%v %s status=%d on %v", p.pid, p.name, status, k.host))
 	p.state = StateExited
 	p.exitStatus = status
 	p.home.recordExit(p.pid, status)
@@ -661,28 +631,13 @@ func (k *Kernel) handleUpdateLoc(env *sim.Env, from rpc.HostID, arg any) (any, i
 }
 
 func (k *Kernel) handleExitNotify(env *sim.Env, from rpc.HostID, arg any) (any, int, error) {
-	a, ok := arg.(exitNotifyArgs)
-	if !ok {
+	if _, ok := arg.(exitNotifyArgs); !ok {
 		return nil, 0, fmt.Errorf("k.exitNotify: bad args %T", arg)
 	}
-	// On ordinary clusters this is bookkeeping cost only; recordExit is
-	// invoked by finishExit on the process side (shared memory in the
-	// simulator). On a confined cluster the notification IS the settlement:
-	// the dispatcher runs on this (home) shard, so the record, the process's
-	// visible state, and the exited future resolve here.
+	// This is bookkeeping cost only; recordExit is invoked by finishExit on
+	// the process side (shared memory in the simulator).
 	if err := k.cpu.Compute(env, k.params.SyscallCPU); err != nil {
 		return nil, 0, err
-	}
-	if k.cluster.confined {
-		rec := k.homeRecs[a.PID]
-		if rec == nil {
-			panic(fmt.Sprintf("core: confined exit notify for unknown %v", a.PID))
-		}
-		p := rec.proc
-		p.state = StateExited
-		p.exitStatus = a.Status
-		k.recordExit(a.PID, a.Status)
-		p.exited.Complete(a.Status, nil)
 	}
 	return nil, 8, nil
 }

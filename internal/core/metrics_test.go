@@ -57,8 +57,7 @@ func TestMigrationPhaseMetrics(t *testing.T) {
 	if got := snap.Counters["mig.aborted"]; got != 0 {
 		t.Fatalf("mig.aborted = %d", got)
 	}
-	// mig.inflight is derived from the counters at snapshot time (the hot
-	// path runs confined and cannot drive a shared gauge); after the
+	// mig.inflight is derived from the counters at snapshot time; after the
 	// migration completed the level is back to zero.
 	g := snap.Gauges["mig.inflight"]
 	if g.Value != 0 {

@@ -14,16 +14,9 @@ import (
 // duration — the interrupted phase surfaces through mig.aborted.<phase>
 // and mig.phase.<name>.aborted counters instead — so the latency series
 // contain only completed work and the invariant started == completed +
-// aborted + inflight holds at every instant.
-//
-// The whole meter runs on the migration hot path, which the parallel
-// kernel dispatches confined — so every counter and timing goes through
-// the worker slot's private cell (Counter.IncSlot/AddSlot,
-// Timing.ObserveSlot), and there is no live in-flight gauge at all: a
-// shared gauge's high-water mark depends on the cross-shard interleaving.
-// mig.inflight is instead derived from the counters at snapshot time
-// (Cluster.MetricsSnapshot), where the identity above makes the level
-// exact at any exclusive point.
+// aborted + inflight holds at every instant. There is no live in-flight
+// gauge: mig.inflight is derived from the counters at snapshot time
+// (Cluster.MetricsSnapshot), where the identity above makes the level exact.
 type migMeter struct {
 	reg   *metrics.Registry
 	span  *metrics.Span
@@ -31,15 +24,15 @@ type migMeter struct {
 	done  bool
 }
 
-func newMigMeter(env *sim.Env, reg *metrics.Registry) *migMeter {
-	reg.Counter("mig.started").IncSlot(sim.WorkerSlot(env))
+func newMigMeter(reg *metrics.Registry) *migMeter {
+	reg.Counter("mig.started").Inc()
 	return &migMeter{reg: reg}
 }
 
 // next closes the current phase span, opens the next one, and returns the
 // closed phase's duration (zero for the first call).
 func (m *migMeter) next(env *sim.Env, phase string) time.Duration {
-	return m.nextAt(env, phase, env.Now())
+	return m.nextAt(phase, env.Now())
 }
 
 // nextAt is next with an explicit boundary time. Overlapped phases use it to
@@ -47,8 +40,8 @@ func (m *migMeter) next(env *sim.Env, phase string) time.Duration {
 // with the VM transfer, the vm span is closed retroactively at the instant
 // the VM work finished and the streams span covers only the tail that
 // outlived it (zero if the streams finished first).
-func (m *migMeter) nextAt(env *sim.Env, phase string, at time.Duration) time.Duration {
-	d := m.span.EndSlot(sim.WorkerSlot(env), at)
+func (m *migMeter) nextAt(phase string, at time.Duration) time.Duration {
+	d := m.span.End(at)
 	m.phase = phase
 	m.span = m.reg.StartSpan("mig.phase."+phase, at)
 	return d
@@ -61,52 +54,46 @@ func (m *migMeter) complete(env *sim.Env) time.Duration {
 		return 0
 	}
 	m.done = true
-	slot := sim.WorkerSlot(env)
-	d := m.span.EndSlot(slot, env.Now())
-	m.reg.Counter("mig.completed").IncSlot(slot)
+	d := m.span.End(env.Now())
+	m.reg.Counter("mig.completed").Inc()
 	return d
 }
 
 // abort retires the migration as aborted, charging the interruption to the
-// phase that was in flight. Aborts only happen under the serial kernel —
-// the confined contract excludes every abort trigger — but the slot calls
-// cost nothing there (slot 0 is the shared base cell) and keep the meter
-// uniformly shard-safe.
+// phase that was in flight.
 func (m *migMeter) abort(env *sim.Env) {
 	if m.done {
 		return
 	}
 	m.done = true
-	slot := sim.WorkerSlot(env)
-	m.span.AbortSlot(slot, env.Now())
-	m.reg.Counter("mig.aborted").IncSlot(slot)
+	m.span.Abort(env.Now())
+	m.reg.Counter("mig.aborted").Inc()
 	if m.phase != "" {
-		m.reg.Counter("mig.aborted." + m.phase).IncSlot(slot)
+		m.reg.Counter("mig.aborted." + m.phase).Inc()
 	}
 }
 
 // observeTotals records the finished migration's whole-record series: total
 // and freeze latency (overall and per strategy) plus the byte/page/file
 // volume counters.
-func (m *migMeter) observeTotals(env *sim.Env, rec *MigrationRecord) {
-	slot := sim.WorkerSlot(env)
-	m.reg.Timing("mig.total").ObserveSlot(slot, rec.Total)
-	m.reg.Timing("mig.total." + rec.Strategy).ObserveSlot(slot, rec.Total)
-	m.reg.Timing("mig.freeze").ObserveSlot(slot, rec.Freeze)
-	m.reg.Counter("mig.vm_bytes").AddSlot(slot, int64(rec.VMBytes))
-	m.reg.Counter("mig.files_moved").AddSlot(slot, int64(rec.Files))
-	m.reg.Counter("mig.pages_flushed").AddSlot(slot, int64(rec.PagesFlushed))
-	m.reg.Counter("mig.pages_copied").AddSlot(slot, int64(rec.PagesCopied))
+func (m *migMeter) observeTotals(rec *MigrationRecord) {
+	m.reg.Timing("mig.total").Observe(rec.Total)
+	m.reg.Timing("mig.total." + rec.Strategy).Observe(rec.Total)
+	m.reg.Timing("mig.freeze").Observe(rec.Freeze)
+	m.reg.Counter("mig.vm_bytes").Add(int64(rec.VMBytes))
+	m.reg.Counter("mig.files_moved").Add(int64(rec.Files))
+	m.reg.Counter("mig.pages_flushed").Add(int64(rec.PagesFlushed))
+	m.reg.Counter("mig.pages_copied").Add(int64(rec.PagesCopied))
 	if rec.ExecTime {
-		m.reg.Counter("mig.exec_time").IncSlot(slot)
+		m.reg.Counter("mig.exec_time").Inc()
 	}
 	if rec.Residual {
-		m.reg.Counter("mig.residual").IncSlot(slot)
+		m.reg.Counter("mig.residual").Inc()
 	}
 	if rec.Batched {
-		m.reg.Counter("mig.batch.migrations").IncSlot(slot)
-		m.reg.Counter("mig.batch.runs").AddSlot(slot, int64(rec.BatchRuns))
-		m.reg.Counter("mig.batch.fragments").AddSlot(slot, int64(rec.BatchFragments))
-		m.reg.Counter("mig.batch.retransmits").AddSlot(slot, int64(rec.BatchRetransmits))
+		m.reg.Counter("mig.batch.migrations").Inc()
+		m.reg.Counter("mig.batch.runs").Add(int64(rec.BatchRuns))
+		m.reg.Counter("mig.batch.fragments").Add(int64(rec.BatchFragments))
+		m.reg.Counter("mig.batch.retransmits").Add(int64(rec.BatchRetransmits))
 	}
 }

@@ -135,7 +135,7 @@ func (k *Kernel) migrateSelf(env *sim.Env, p *Process, req *migrationRequest) er
 	p.migTarget = target
 	defer func() { p.migTarget, p.migMoved = nil, nil }()
 
-	mm := newMigMeter(env, k.cluster.metrics)
+	mm := newMigMeter(k.cluster.metrics)
 
 	// abort undoes a partial migration so the process resumes on the
 	// source: streams already moved come back, a PCB already installed at
@@ -145,17 +145,6 @@ func (k *Kernel) migrateSelf(env *sim.Env, p *Process, req *migrationRequest) er
 	// phase timing or a dangling in-flight count behind.
 	var moved []*fs.Stream
 	abort := func(err error) error {
-		if k.cluster.confined {
-			// Abort recovery repairs target-side tables from the source
-			// activity — cross-shard by nature. The confined contract
-			// excludes every abort trigger (crashes, failpoints, version
-			// skew), so reaching here is a configuration bug.
-			panic(&sim.ConfinedContractError{
-				Op:     "migration abort",
-				Host:   fmt.Sprintf("%v (on %v)", p.pid, k.host),
-				Reason: err.Error(),
-			})
-		}
 		mm.abort(env)
 		k.stats.MigrationsAborted++
 		if p.crashed {
@@ -217,7 +206,7 @@ func (k *Kernel) migrateSelf(env *sim.Env, p *Process, req *migrationRequest) er
 		if vmErr != nil {
 			return abort(vmErr)
 		}
-		rec.VMTime = mm.nextAt(env, "streams", tVMEnd)
+		rec.VMTime = mm.nextAt("streams", tVMEnd)
 		if serr != nil {
 			return abort(fmt.Errorf("stream transfer: %w", serr))
 		}
@@ -254,11 +243,8 @@ func (k *Kernel) migrateSelf(env *sim.Env, p *Process, req *migrationRequest) er
 	rec.PCBTime = env.Now() - tP
 	mm.next(env, "resume")
 
-	// 5. Tell the home machine where the process now lives. Confined
-	// clusters always take the RPC (even migrating home), because the home
-	// record lives on the home host's shard and this activity is still on
-	// the source shard.
-	if p.home != target || k.cluster.confined {
+	// 5. Tell the home machine where the process now lives.
+	if p.home != target {
 		if _, err := k.ep.Call(env, p.home.host, "k.updateLoc", updateLocArgs{
 			PID: p.pid, Loc: target.host,
 		}, 32); err != nil {
@@ -296,9 +282,9 @@ func (k *Kernel) migrateSelf(env *sim.Env, p *Process, req *migrationRequest) er
 		// only for its final pass; stream and PCB transfer freeze it too.
 		rec.Freeze += rec.FileTime + rec.PCBTime
 	}
-	mm.observeTotals(env, &rec)
+	mm.observeTotals(&rec)
 	k.records = append(k.records, rec)
-	k.cluster.emitEnv(env, "migration",
+	k.cluster.emit(env.Now(), "migration",
 		fmt.Sprintf("%v %v->%v (%s, %s) total=%v vm=%dB files=%d",
 			p.pid, rec.From, rec.To, rec.Reason, rec.Strategy, rec.Total, rec.VMBytes, rec.Files))
 	return nil
@@ -326,7 +312,7 @@ func (k *Kernel) migrateForExec(env *sim.Env, p *Process, req *migrationRequest)
 	p.migTarget = target
 	defer func() { p.migTarget, p.migMoved = nil, nil }()
 
-	mm := newMigMeter(env, k.cluster.metrics)
+	mm := newMigMeter(k.cluster.metrics)
 
 	// Same recovery contract as migrateSelf: an aborted exec-time migration
 	// resumes the process on the source (where exec rebuilds the image
@@ -334,15 +320,6 @@ func (k *Kernel) migrateForExec(env *sim.Env, p *Process, req *migrationRequest)
 	// crash-destroyed process.
 	var moved []*fs.Stream
 	abort := func(err error) error {
-		if k.cluster.confined {
-			// Same reasoning as migrateSelf's abort: recovery is cross-shard
-			// and every abort trigger is excluded by the confined contract.
-			panic(&sim.ConfinedContractError{
-				Op:     "migration abort",
-				Host:   fmt.Sprintf("%v (on %v)", p.pid, k.host),
-				Reason: err.Error(),
-			})
-		}
 		mm.abort(env)
 		k.stats.MigrationsAborted++
 		if p.crashed {
@@ -400,7 +377,7 @@ func (k *Kernel) migrateForExec(env *sim.Env, p *Process, req *migrationRequest)
 	}
 	rec.PCBTime = env.Now() - tP
 	mm.next(env, "resume")
-	if p.home != target || k.cluster.confined {
+	if p.home != target {
 		if _, err := k.ep.Call(env, p.home.host, "k.updateLoc", updateLocArgs{
 			PID: p.pid, Loc: target.host,
 		}, 32); err != nil {
@@ -426,9 +403,9 @@ func (k *Kernel) migrateForExec(env *sim.Env, p *Process, req *migrationRequest)
 	rec.ResumeTime = mm.complete(env)
 	rec.Total = env.Now() - t0
 	rec.Freeze = rec.Total
-	mm.observeTotals(env, &rec)
+	mm.observeTotals(&rec)
 	k.records = append(k.records, rec)
-	k.cluster.emitEnv(env, "exec-migration",
+	k.cluster.emit(env.Now(), "exec-migration",
 		fmt.Sprintf("%v %v->%v (%s) total=%v", p.pid, rec.From, rec.To, rec.Reason, rec.Total))
 	return nil
 }
@@ -466,15 +443,6 @@ func (k *Kernel) transferStreams(env *sim.Env, p *Process, target *Kernel, rec *
 		}
 		if err := k.fsc.MoveStream(env, st, target.host); err != nil {
 			return moved, fmt.Errorf("move %s: %w", st.Path, err)
-		}
-		if k.cluster.confined {
-			// The destination client's version/size updates for this move are
-			// pended on the source client (MoveStream cannot write another
-			// shard's tables); carry them on the process, which applies them
-			// after it rehomes onto the target shard. Harvesting per call
-			// keeps concurrent migrations from the same source untangled —
-			// MoveStream cannot yield between pending and returning.
-			p.migRecon = append(p.migRecon, k.fsc.TakeReconciles()...)
 		}
 		moved = append(moved, st)
 		p.migMoved = moved
@@ -516,7 +484,7 @@ func (k *Kernel) EvictAll(env *sim.Env) error {
 		}
 		waits = append(waits, k.RequestMigration(p, target, "eviction"))
 		k.stats.Evictions++
-		k.cluster.emitEnv(env, "eviction", fmt.Sprintf("%v evicted from %v to %v", p.pid, k.host, target.host))
+		k.cluster.emit(env.Now(), "eviction", fmt.Sprintf("%v evicted from %v to %v", p.pid, k.host, target.host))
 	}
 	for _, w := range waits {
 		if _, err := w.Wait(env); err != nil {

@@ -18,7 +18,6 @@ type Params struct {
 	RPC rpc.Params
 	FS  fs.Params
 	VM  vm.Params
-	Sim SimParams
 
 	// CPUQuantum is the timesharing quantum of each host's scheduler.
 	CPUQuantum time.Duration
@@ -59,36 +58,6 @@ type Params struct {
 
 	// Batch configures the batched migration data plane.
 	Batch BatchParams
-}
-
-// SimParams selects and tunes the event kernel (DESIGN.md §13). The zero
-// value is the serial oracle; the conservative parallel kernel commits an
-// event order that is bit-for-bit identical to it, so flipping Parallel can
-// never change a result — only wallclock.
-type SimParams struct {
-	// Parallel dispatches shard-confined activities on worker goroutines.
-	// All cluster kernels live on the exclusive shard and are unaffected;
-	// parallelism comes from confined daemons (internal/workload.BgLoad).
-	Parallel bool
-	// Workers is the worker-goroutine count when Parallel is set
-	// (0 = GOMAXPROCS).
-	Workers int
-	// Lookahead is the conservative horizon: confined events closer than
-	// this to the window head commit without cross-shard coordination.
-	// 0 derives it from Net.Latency, the propagation delay that already
-	// lower-bounds any cross-host interaction.
-	Lookahead time.Duration
-	// ConfineHosts homes every simulated host on its own shard: RPC
-	// dispatchers, fs servers, and process activities for host H run
-	// confined to shard H, and all cross-host interaction rides mailboxes
-	// with delay >= lookahead. Combined with Parallel this dispatches the
-	// whole RPC/FS/migration plane concurrently inside lookahead windows;
-	// without Parallel it exercises the identical code path under the
-	// serial oracle (which is how equivalence is checked). Confined
-	// clusters trade generality for speed — see DESIGN.md §14 for the
-	// contract (uncontended network, no host crashes, no migration aborts,
-	// drivers pinned to host shards via BootOn).
-	ConfineHosts bool
 }
 
 // BatchParams holds the knobs of the batched, pipelined migration data

@@ -134,11 +134,6 @@ type Process struct {
 	// to a surviving target host.
 	migTarget *Kernel
 	migMoved  []*fs.Stream
-	// migRecon carries the destination fs client's stream-move bookkeeping
-	// across a confined migration: MoveStream on the source shard cannot
-	// write the target client's tables, so the updates ride here until
-	// confinedResume applies them on the target's shard.
-	migRecon []fs.Reconcile
 	// sharedMemory marks the process as using shared writable memory,
 	// which Sprite refuses to migrate.
 	sharedMemory bool
@@ -193,29 +188,6 @@ func (p *Process) SetEvictable(e bool) { p.evictable = e }
 
 // Exited returns a future resolving to the exit status.
 func (p *Process) Exited() *sim.Future { return p.exited }
-
-// confinedResume finishes a migration's switch-over on a confined cluster:
-// the process activity rehomes onto its new host's shard (arriving a
-// lookahead later, which is what gives every source-side write of the
-// migration a happens-before edge to target-side readers), then applies the
-// stream bookkeeping the source shard pended for the destination fs client.
-// On ordinary clusters it is a no-op, so callers need not branch.
-func (p *Process) confinedResume(env *sim.Env) error {
-	c := p.cur.cluster
-	if !c.confined {
-		return nil
-	}
-	if shard := int(p.cur.host); env.Shard() != shard {
-		if err := env.Rehome(shard, c.sim.Lookahead()); err != nil {
-			return err
-		}
-	}
-	if rs := p.migRecon; len(rs) > 0 {
-		p.migRecon = nil
-		p.cur.fsc.ApplyReconciles(rs)
-	}
-	return nil
-}
 
 // openStreams returns the distinct open streams in the descriptor table.
 func (p *Process) openStreams() []*fs.Stream {

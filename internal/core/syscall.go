@@ -6,7 +6,6 @@ import (
 
 	"sprite/internal/fs"
 	"sprite/internal/rpc"
-	"sprite/internal/sim"
 )
 
 // HandlingPolicy classifies how a kernel call behaves for a migrated
@@ -119,12 +118,7 @@ func (c *Ctx) enter(call string) error {
 			// The abort path restored the process on the source; the
 			// requester learns of the failure, the process runs on.
 		} else {
-			// Complete before rehoming: the requester waits on the source
-			// shard, where this activity still runs.
 			req.done.Complete(p.cur.host, nil)
-			if err := p.confinedResume(c.env); err != nil {
-				return err
-			}
 		}
 	}
 	// Kernel-call entry is also the signal-delivery point.
@@ -225,9 +219,6 @@ func (c *Ctx) Compute(d time.Duration) error {
 				}
 			} else {
 				req.done.Complete(p.cur.host, nil)
-				if err := p.confinedResume(c.env); err != nil {
-					return err
-				}
 			}
 		}
 		if err := c.deliverPending(); err != nil {
@@ -431,16 +422,6 @@ func (c *Ctx) Fork(name string, prog Program, cfg ProcConfig) (*Process, error) 
 		return nil, err
 	}
 	p := c.proc
-	if p.cur.cluster.confined && p.Foreign() {
-		// Fork allocates the pid and family record in the home kernel's
-		// tables — another shard's state. The confined contract keeps
-		// process-family calls on the home host (DESIGN.md §14).
-		panic(&sim.ConfinedContractError{
-			Op:     "Fork by migrated process",
-			Host:   fmt.Sprintf("%v (on %v)", p.pid, p.cur.host),
-			Reason: "pid allocation lives on the home shard",
-		})
-	}
 	if err := c.forwardHome("fork"); err != nil {
 		return nil, err
 	}
@@ -462,15 +443,6 @@ func (c *Ctx) Fork(name string, prog Program, cfg ProcConfig) (*Process, error) 
 func (c *Ctx) Wait() (PID, int, error) {
 	if err := c.enter("wait"); err != nil {
 		return NilPID, 0, err
-	}
-	if c.proc.cur.cluster.confined && c.proc.Foreign() {
-		// waitChild blocks on the home kernel's records — another shard's
-		// state and a cross-shard future wake (DESIGN.md §14).
-		panic(&sim.ConfinedContractError{
-			Op:     "Wait by migrated process",
-			Host:   fmt.Sprintf("%v (on %v)", c.proc.pid, c.proc.cur.host),
-			Reason: "child records live on the home shard",
-		})
 	}
 	if err := c.forwardHome("wait"); err != nil {
 		return NilPID, 0, err
@@ -514,10 +486,7 @@ func (c *Ctx) Migrate(target rpc.HostID) error {
 	}
 	// The caller is already at a migration point (a kernel-call boundary),
 	// so the migration happens inline in its own activity.
-	if err := c.proc.cur.migrateNow(c.env, c.proc, k, "explicit"); err != nil {
-		return err
-	}
-	return c.proc.confinedResume(c.env)
+	return c.proc.cur.migrateNow(c.env, c.proc, k, "explicit")
 }
 
 // Exec replaces the process image: a fresh address space sized by cfg,
@@ -543,9 +512,6 @@ func (c *Ctx) Exec(name string, prog Program, cfg ProcConfig) error {
 				fmt.Sprintf("%v -> %v: %v", p.pid, req.target.host, err))
 		}
 		req.done.Complete(p.cur.host, nil)
-		if err := p.confinedResume(c.env); err != nil {
-			return err
-		}
 	}
 	if d := p.cur.params.ExecCPU; d > 0 {
 		if err := p.cur.cpu.Compute(c.env, d); err != nil {

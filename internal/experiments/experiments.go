@@ -38,17 +38,9 @@ type Config struct {
 	// results to this file as JSON.
 	HostselSnapshot string
 	// Hosts overrides the primary scale knob of the scale-aware
-	// experiments: E16's fleet size (replacing the standard sweep) and
-	// E17's load-daemon count. Zero keeps each experiment's default.
+	// experiments: E16's fleet size (replacing the standard sweep). Zero
+	// keeps each experiment's default.
 	Hosts int
-	// WallclockSnapshot, when non-empty, makes E17 write its per-kernel
-	// wallclock rows to this file as JSON (the BENCH_wallclock.json CI
-	// artifact).
-	WallclockSnapshot string
-	// ConfinedScaleSnapshot, when non-empty, makes the confined scale tier
-	// (E17ConfinedScale) write its serial-vs-parallel comparison rows to
-	// this file as JSON (the SCALE_confined.json nightly CI artifact).
-	ConfinedScaleSnapshot string
 	// FleetSnapshot, when non-empty, makes the fleet economy experiment
 	// (E18) write its per-intensity rows to this file as JSON (the
 	// FLEET_storms.json CI artifact; bench/BENCH_fleet.json gates it).
@@ -181,7 +173,6 @@ func All() []Runner {
 		{ID: "E14", Name: "a day of load sharing", Run: E14DayInTheLife},
 		{ID: "E15", Name: "crash recovery and failover", Run: E15CrashRecovery},
 		{ID: "E16", Name: "selector shoot-out under churn", Run: E16SelectorShootout},
-		{ID: "E17", Name: "parallel kernel wallclock speedup", Run: E17ParallelWallclock},
 		{ID: "E18", Name: "fleet economy under eviction storms", Run: E18FleetEconomy},
 	}
 }

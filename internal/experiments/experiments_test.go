@@ -304,13 +304,6 @@ func TestDeterminism(t *testing.T) {
 	for _, r := range All() {
 		r := r
 		t.Run(r.ID, func(t *testing.T) {
-			if r.ID == "E17" {
-				// E17's table is wallclock (real time) by design; its
-				// determinism claim — identical order digests across
-				// kernels — is asserted inside the driver and by
-				// TestE17DigestsAgree.
-				t.Skip("wallclock output is not byte-reproducible by design")
-			}
 			a, err := r.Run(quick())
 			if err != nil {
 				t.Fatal(err)

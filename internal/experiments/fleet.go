@@ -13,7 +13,7 @@ import (
 	"sprite/internal/sim"
 )
 
-// E18 measures the fleet-management plane (internal/fleet, DESIGN.md §15)
+// E18 measures the fleet-management plane (internal/fleet, DESIGN.md §13)
 // as an economy: checkpointed jobs harvest idle hosts while eviction
 // storms, flapping hosts, correlated rack failures, and operator cordons
 // hit the pool, and the controller cordons, drains, remediates, and

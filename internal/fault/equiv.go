@@ -5,25 +5,18 @@ import (
 	"strings"
 )
 
-// This file is the cluster-level serial-vs-parallel equivalence harness:
-// the same fuzz scenario — processes, migrations, crashes, partitions,
-// gossip, plus confined background-load daemons — runs under the serial
-// oracle and under the conservative parallel kernel at several worker
-// counts, and every observable byte (trace stream, metrics snapshot, order
-// digest, invariant reports) must be identical. The parallel kernel's
-// correctness claim is exactly this: worker count is not an input.
+// This file is the cluster-level rerun-determinism harness: the same fuzz
+// scenario — processes, migrations, crashes, partitions, gossip — runs
+// twice on the serial kernel, and every observable byte (trace stream,
+// metrics snapshot, order digest, invariant reports) must be identical. A
+// run is a pure function of its scenario; a dependence on map iteration
+// order, wall time, or goroutine scheduling shows up here as the first
+// differing line.
 
-// RunScenarioKernel runs sc under one kernel configuration (workers == 0
-// selects the serial oracle) with bgHosts confined load daemons, and
-// returns the full observation.
-func RunScenarioKernel(sc Scenario, workers, bgHosts int) KernelObservation {
+// RunScenarioObserved runs sc once and returns the full observation.
+func RunScenarioObserved(sc Scenario) KernelObservation {
 	var obs KernelObservation
-	kc := kernelCfg{bgHosts: bgHosts, capture: &obs}
-	if workers > 0 {
-		kc.parallel = true
-		kc.workers = workers
-	}
-	runScenario(sc, kc)
+	runScenario(sc, &obs)
 	return obs
 }
 
@@ -39,46 +32,42 @@ func diffLine(a, b string) string {
 	return fmt.Sprintf("lengths differ: %d vs %d lines", len(al), len(bl))
 }
 
-// EquivCheck runs sc under the serial oracle and then under the parallel
-// kernel at each of workerCounts, returning one message per divergence
-// (empty slice = fully equivalent). bgHosts > 0 adds confined daemons so
-// the comparison exercises worker-committed events and sharded metrics.
-func EquivCheck(sc Scenario, bgHosts int, workerCounts []int) []string {
-	want := RunScenarioKernel(sc, 0, bgHosts)
+// diffObs returns one message per observable that differs between a rerun
+// (got) and the first run (want); an empty slice means byte-identical.
+func diffObs(got, want KernelObservation) []string {
 	var diffs []string
-	for _, w := range workerCounts {
-		got := RunScenarioKernel(sc, w, bgHosts)
-		tag := fmt.Sprintf("workers=%d", w)
-		if got.Order != want.Order {
-			diffs = append(diffs, fmt.Sprintf("%s: order digest %#x, serial %#x", tag, got.Order, want.Order))
-		}
-		if got.Trace != want.Trace {
-			diffs = append(diffs, fmt.Sprintf("%s: trace diverged at %s", tag, diffLine(got.Trace, want.Trace)))
-		}
-		if got.Metrics != want.Metrics {
-			diffs = append(diffs, fmt.Sprintf("%s: metrics diverged at %s", tag, diffLine(got.Metrics, want.Metrics)))
-		}
-		if got.Digest != want.Digest {
-			diffs = append(diffs, fmt.Sprintf("%s: digest %q, serial %q", tag, got.Digest, want.Digest))
-		}
-		if got.RunErr != want.RunErr {
-			diffs = append(diffs, fmt.Sprintf("%s: run error %q, serial %q", tag, got.RunErr, want.RunErr))
-		}
-		if got.BgReports != want.BgReports {
-			diffs = append(diffs, fmt.Sprintf("%s: %d bg reports, serial %d", tag, got.BgReports, want.BgReports))
-		}
-		if gv, wv := strings.Join(got.Violations, "; "), strings.Join(want.Violations, "; "); gv != wv {
-			diffs = append(diffs, fmt.Sprintf("%s: invariants %q, serial %q", tag, gv, wv))
-		}
+	if got.Order != want.Order {
+		diffs = append(diffs, fmt.Sprintf("order digest %#x, first run %#x", got.Order, want.Order))
+	}
+	if got.Trace != want.Trace {
+		diffs = append(diffs, fmt.Sprintf("trace diverged at %s", diffLine(got.Trace, want.Trace)))
+	}
+	if got.Metrics != want.Metrics {
+		diffs = append(diffs, fmt.Sprintf("metrics diverged at %s", diffLine(got.Metrics, want.Metrics)))
+	}
+	if got.Digest != want.Digest {
+		diffs = append(diffs, fmt.Sprintf("digest %q, first run %q", got.Digest, want.Digest))
+	}
+	if got.RunErr != want.RunErr {
+		diffs = append(diffs, fmt.Sprintf("run error %q, first run %q", got.RunErr, want.RunErr))
+	}
+	if gv, wv := strings.Join(got.Violations, "; "), strings.Join(want.Violations, "; "); gv != wv {
+		diffs = append(diffs, fmt.Sprintf("invariants %q, first run %q", gv, wv))
 	}
 	return diffs
 }
 
-// ShrinkEquiv greedily minimizes a scenario whose parallel runs diverge
-// from serial, reusing the fuzzer's shrinking moves with "still diverges"
-// as the predicate. Determinism makes the predicate exact.
-func ShrinkEquiv(sc Scenario, bgHosts int, workerCounts []int) (Scenario, []string) {
-	diffs := EquivCheck(sc, bgHosts, workerCounts)
+// RerunCheck runs sc twice and returns one message per divergence (empty
+// slice = the rerun reproduced every observable byte).
+func RerunCheck(sc Scenario) []string {
+	want := RunScenarioObserved(sc)
+	return diffObs(RunScenarioObserved(sc), want)
+}
+
+// ShrinkRerun greedily minimizes a scenario whose reruns diverge, reusing
+// the fuzzer's shrinking moves with "still diverges" as the predicate.
+func ShrinkRerun(sc Scenario) (Scenario, []string) {
+	diffs := RerunCheck(sc)
 	if len(diffs) == 0 {
 		return sc, nil
 	}
@@ -90,7 +79,7 @@ func ShrinkEquiv(sc Scenario, bgHosts int, workerCounts []int) (Scenario, []stri
 			cand.Events = make([]Event, 0, len(cur.Events)-1)
 			cand.Events = append(cand.Events, cur.Events[:i]...)
 			cand.Events = append(cand.Events, cur.Events[i+1:]...)
-			if d := EquivCheck(cand, bgHosts, workerCounts); len(d) > 0 {
+			if d := RerunCheck(cand); len(d) > 0 {
 				cur, diffs = cand, d
 				changed = true
 				break
@@ -99,7 +88,7 @@ func ShrinkEquiv(sc Scenario, bgHosts int, workerCounts []int) (Scenario, []stri
 		if !changed && cur.Gossip {
 			cand := cur
 			cand.Gossip = false
-			if d := EquivCheck(cand, bgHosts, workerCounts); len(d) > 0 {
+			if d := RerunCheck(cand); len(d) > 0 {
 				cur, diffs = cand, d
 				changed = true
 			}
@@ -107,7 +96,7 @@ func ShrinkEquiv(sc Scenario, bgHosts int, workerCounts []int) (Scenario, []stri
 		if !changed && cur.Procs > 1 {
 			cand := cur
 			cand.Procs = cur.Procs / 2
-			if d := EquivCheck(cand, bgHosts, workerCounts); len(d) > 0 {
+			if d := RerunCheck(cand); len(d) > 0 {
 				cur, diffs = cand, d
 				changed = true
 			}

@@ -7,41 +7,37 @@ import (
 	"testing"
 )
 
-// Replay one equivalence scenario:
+// Replay one rerun-determinism scenario:
 //
-//	go test ./internal/fault -run TestKernelEquivalence -equivseed=<seed>
-var equivSeed = flag.Int64("equivseed", 0, "replay one kernel-equivalence scenario by seed")
+//	go test ./internal/fault -run TestKernelEquivalence -rerunseed=<seed>
+var rerunSeed = flag.Int64("rerunseed", 0, "replay one rerun-determinism scenario by seed")
 
-// equivWorkers are the parallel worker counts every scenario is checked at.
-var equivWorkers = []int{2, 4, 8}
-
-// equivSmokeN is the scenario budget for the plain `go test` run; the
+// rerunSmokeN is the scenario budget for the plain `go test` run; the
 // sim-level property suite (internal/sim) covers 50+ seeds of raw kernel
 // behaviour, so the cluster-level budget here trades seed count for the
 // much larger per-seed surface (full trace + metrics bytes). Set
 // SPRITE_EQUIV=<n> for a longer sweep.
-const equivSmokeN = 10
+const rerunSmokeN = 10
 
-// TestKernelEquivalence is the cluster-level half of the serial≡parallel
-// contract: full fuzz scenarios — migrations, crashes, partitions, gossip,
-// confined background load — must produce byte-identical traces, metrics
-// snapshots, order digests, and invariant verdicts under the parallel
-// kernel at 2, 4, and 8 workers. Failures shrink to a minimal scenario.
+// TestKernelEquivalence holds the kernel equivalent to itself: it is the
+// cluster-level determinism double-run, where full fuzz scenarios —
+// migrations, crashes, partitions, gossip — must produce byte-identical
+// traces, metrics snapshots, order digests, and invariant verdicts when run
+// twice. Failures shrink to a minimal scenario.
 func TestKernelEquivalence(t *testing.T) {
-	const bgHosts = 6
 	check := func(seed int64) {
 		sc := GenScenario(seed)
-		if diffs := EquivCheck(sc, bgHosts, equivWorkers); len(diffs) > 0 {
-			min, minDiffs := ShrinkEquiv(sc, bgHosts, equivWorkers)
-			t.Fatalf("seed %d diverged (replay: go test ./internal/fault -run TestKernelEquivalence -equivseed=%d):\n  %v\nshrunk to %v:\n  %v",
+		if diffs := RerunCheck(sc); len(diffs) > 0 {
+			min, minDiffs := ShrinkRerun(sc)
+			t.Fatalf("seed %d diverged on rerun (replay: go test ./internal/fault -run TestKernelEquivalence -rerunseed=%d):\n  %v\nshrunk to %v:\n  %v",
 				seed, seed, diffs, min, minDiffs)
 		}
 	}
-	if *equivSeed != 0 {
-		check(*equivSeed)
+	if *rerunSeed != 0 {
+		check(*rerunSeed)
 		return
 	}
-	n := equivSmokeN
+	n := rerunSmokeN
 	if s := os.Getenv("SPRITE_EQUIV"); s != "" {
 		if v, err := strconv.Atoi(s); err == nil && v > 0 {
 			n = v
@@ -53,11 +49,10 @@ func TestKernelEquivalence(t *testing.T) {
 }
 
 // TestKernelObservationComplete guards the comparison surface itself: a
-// run must actually produce trace bytes, metrics bytes, a digest, and
-// background-load reports — otherwise EquivCheck could go green by
-// comparing empty strings.
+// run must actually produce trace bytes, metrics bytes, and digests —
+// otherwise RerunCheck could go green by comparing empty strings.
 func TestKernelObservationComplete(t *testing.T) {
-	obs := RunScenarioKernel(GenScenario(2001), 0, 6)
+	obs := RunScenarioObserved(GenScenario(2001))
 	if obs.Trace == "" {
 		t.Error("no trace captured")
 	}
@@ -69,9 +64,6 @@ func TestKernelObservationComplete(t *testing.T) {
 	}
 	if obs.Order == 0 {
 		t.Error("order digest is zero")
-	}
-	if obs.BgReports == 0 {
-		t.Error("no background-load reports reached the collector")
 	}
 	if obs.RunErr != "" || len(obs.Violations) > 0 {
 		t.Errorf("baseline scenario not clean: err=%q violations=%v", obs.RunErr, obs.Violations)

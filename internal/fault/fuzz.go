@@ -12,7 +12,6 @@ import (
 	"sprite/internal/rpc"
 	"sprite/internal/sim"
 	"sprite/internal/trace"
-	"sprite/internal/workload"
 )
 
 // This file is the seed-driven scenario fuzzer: it composes a random process
@@ -202,25 +201,10 @@ type procPlan struct {
 	shared  bool // filer uses the contended path
 }
 
-// kernelCfg selects the event kernel one scenario run executes under and
-// what extra observables the run captures. The zero value is the serial
-// oracle with ring-buffer tracing — exactly the historical RunScenario.
-type kernelCfg struct {
-	// parallel/workers configure the conservative parallel kernel.
-	parallel bool
-	workers  int
-	// bgHosts rides confined background-load daemons (internal/workload)
-	// along with the process workload, so cross-kernel comparisons cover
-	// worker-committed events, sharded metrics, and mailbox traffic.
-	bgHosts int
-	// capture, when set, receives the run's full observable surface.
-	capture *KernelObservation
-}
-
 // KernelObservation is everything externally visible about one scenario
-// run: if any field differs between the serial oracle and the parallel
-// kernel, determinism is broken. Trace is the byte-exact event stream, not
-// a digest, so divergences point at the first differing event.
+// run: if any field differs between two runs of the same scenario,
+// determinism is broken. Trace is the byte-exact event stream, not a
+// digest, so divergences point at the first differing event.
 type KernelObservation struct {
 	RunErr     string
 	Order      uint64 // sim.OrderDigest: FNV over the committed (at, seq) stream
@@ -228,23 +212,20 @@ type KernelObservation struct {
 	Trace      string
 	Metrics    string
 	Violations []string
-	BgReports  int
 }
 
 // RunScenario executes one scenario and checks every invariant. It is a pure
 // function of the scenario.
-func RunScenario(sc Scenario) *Result { return runScenario(sc, kernelCfg{}) }
+func RunScenario(sc Scenario) *Result { return runScenario(sc, nil) }
 
-func runScenario(sc Scenario, kc kernelCfg) *Result {
+// runScenario executes sc; a non-nil capture additionally receives the
+// run's full observable surface.
+func runScenario(sc Scenario, capture *KernelObservation) *Result {
 	res := &Result{Scenario: sc}
 	fail := func(format string, args ...any) {
 		res.Violations = append(res.Violations, fmt.Sprintf(format, args...))
 	}
 	params := fuzzParams()
-	if kc.parallel {
-		params.Sim.Parallel = true
-		params.Sim.Workers = kc.workers
-	}
 	c, err := core.NewCluster(core.Options{
 		Workstations: sc.Workstations,
 		FileServers:  1,
@@ -264,31 +245,18 @@ func runScenario(sc Scenario, kc kernelCfg) *Result {
 	// the run identical to an untraced one while giving failure reports the
 	// last events before things went wrong.
 	lg := trace.New(512)
-	if kc.capture != nil {
-		// Equivalence runs additionally keep the complete event stream:
-		// byte-exact traces are the strongest cross-kernel comparison.
+	if capture != nil {
+		// Rerun checks additionally keep the complete event stream:
+		// byte-exact traces are the strongest comparison.
 		var full strings.Builder
 		ring := lg.Func()
 		c.SetTrace(func(at time.Duration, kind, detail string) {
 			fmt.Fprintf(&full, "%v %s %s\n", at, kind, detail)
 			ring(at, kind, detail)
 		})
-		defer func() { kc.capture.Trace = full.String() }()
+		defer func() { capture.Trace = full.String() }()
 	} else {
 		c.SetTrace(lg.Func())
-	}
-
-	// Confined background load, when requested: one daemon per bgHost on
-	// its own shard, bounded so the run still quiesces.
-	var bg *workload.BgLoad
-	if kc.bgHosts > 0 {
-		bg = workload.StartBgLoad(c.Sim(), c.Metrics(), workload.BgLoadConfig{
-			Hosts:       kc.bgHosts,
-			Tick:        5 * time.Millisecond,
-			WorkPerTick: 300,
-			ReportEvery: 4,
-			Ticks:       120,
-		})
 	}
 
 	// The plane's private stream is derived from the scenario seed so the
@@ -436,17 +404,14 @@ func runScenario(sc Scenario, kc kernelCfg) *Result {
 	if res.Failed() {
 		res.Tail = lg.Tail(20)
 	}
-	if kc.capture != nil {
+	if capture != nil {
 		if rerr != nil {
-			kc.capture.RunErr = rerr.Error()
+			capture.RunErr = rerr.Error()
 		}
-		kc.capture.Order = c.Sim().OrderDigest()
-		kc.capture.Digest = res.Digest
-		kc.capture.Metrics = c.MetricsSnapshot().Text()
-		kc.capture.Violations = append([]string(nil), res.Violations...)
-		if bg != nil {
-			kc.capture.BgReports = bg.Received()
-		}
+		capture.Order = c.Sim().OrderDigest()
+		capture.Digest = res.Digest
+		capture.Metrics = c.MetricsSnapshot().Text()
+		capture.Violations = append([]string(nil), res.Violations...)
 	}
 	return res
 }

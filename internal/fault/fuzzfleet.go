@@ -206,27 +206,23 @@ func (s *fleetHarnessSel) Stats() hostsel.Stats { return s.stats }
 
 // RunFleetScenario executes one fleet scenario on the serial kernel.
 func RunFleetScenario(sc FleetScenario) *Result {
-	return runFleetScenario(sc, kernelCfg{})
+	return runFleetScenario(sc, nil)
 }
 
-// RunFleetScenarioKernel executes one fleet scenario under the chosen
-// kernel, capturing the observable surface for equivalence checks.
-func RunFleetScenarioKernel(sc FleetScenario, parallel bool, workers int) (*Result, *KernelObservation) {
+// RunFleetScenarioObserved executes one fleet scenario, capturing the
+// observable surface for rerun-determinism checks.
+func RunFleetScenarioObserved(sc FleetScenario) (*Result, *KernelObservation) {
 	obs := &KernelObservation{}
-	res := runFleetScenario(sc, kernelCfg{parallel: parallel, workers: workers, capture: obs})
+	res := runFleetScenario(sc, obs)
 	return res, obs
 }
 
-func runFleetScenario(sc FleetScenario, kc kernelCfg) *Result {
+func runFleetScenario(sc FleetScenario, capture *KernelObservation) *Result {
 	res := &Result{}
 	fail := func(format string, args ...any) {
 		res.Violations = append(res.Violations, fmt.Sprintf(format, args...))
 	}
 	params := fuzzParams()
-	if kc.parallel {
-		params.Sim.Parallel = true
-		params.Sim.Workers = kc.workers
-	}
 	c, err := core.NewCluster(core.Options{
 		Workstations: sc.Hosts,
 		FileServers:  1,
@@ -243,14 +239,14 @@ func runFleetScenario(sc FleetScenario, kc kernelCfg) *Result {
 		return res
 	}
 	lg := trace.New(512)
-	if kc.capture != nil {
+	if capture != nil {
 		var full strings.Builder
 		ring := lg.Func()
 		c.SetTrace(func(at time.Duration, kind, detail string) {
 			fmt.Fprintf(&full, "%v %s %s\n", at, kind, detail)
 			ring(at, kind, detail)
 		})
-		defer func() { kc.capture.Trace = full.String() }()
+		defer func() { capture.Trace = full.String() }()
 	} else {
 		c.SetTrace(lg.Func())
 	}
@@ -406,14 +402,14 @@ func runFleetScenario(sc FleetScenario, kc kernelCfg) *Result {
 	if res.Failed() {
 		res.Tail = lg.Tail(20)
 	}
-	if kc.capture != nil {
+	if capture != nil {
 		if rerr != nil {
-			kc.capture.RunErr = rerr.Error()
+			capture.RunErr = rerr.Error()
 		}
-		kc.capture.Order = c.Sim().OrderDigest()
-		kc.capture.Digest = res.Digest
-		kc.capture.Metrics = snap.Text()
-		kc.capture.Violations = append([]string(nil), res.Violations...)
+		capture.Order = c.Sim().OrderDigest()
+		capture.Digest = res.Digest
+		capture.Metrics = snap.Text()
+		capture.Violations = append([]string(nil), res.Violations...)
 	}
 	return res
 }

@@ -1,6 +1,6 @@
 // Package fleet is the pool-management plane layered over host selection,
 // recovery, and migration: idle harvesting run as an economy rather than a
-// per-host courtesy (DESIGN.md §15).
+// per-host courtesy (DESIGN.md §13).
 //
 // The Sprite paper's eviction story ends at "the owner came back, migrate
 // everything home". At fleet scale hosts also get sick, flap, and vanish
@@ -27,14 +27,10 @@
 // host order, so runs are bit-for-bit reproducible; the drain-safety
 // audit (no resident lost, none double-placed, drained host ends empty)
 // registers into Cluster.CheckInvariants like the hostsel claim ledger.
-//
-// The plane drives Cluster.Reboot, so it requires a non-confined cluster
-// (the confined contract excludes the crash/restart plane, DESIGN.md §14).
 package fleet
 
 import (
 	"sort"
-	"sync"
 	"time"
 
 	"sprite/internal/core"
@@ -173,11 +169,9 @@ type Manager struct {
 	hosts []rpc.HostID
 	recs  map[rpc.HostID]*hostRec
 
-	// hintMu guards hintPending: the gossip hint sink runs in RPC handler
-	// activities, which may execute on confined shards under the parallel
-	// kernel; counts are commutative, so folding them at the controller's
-	// (exclusive, barrier-ordered) tick stays deterministic.
-	hintMu      sync.Mutex
+	// hintPending counts gossip hints per host: the hint sink runs in RPC
+	// handler activities, and the controller folds the counts at its own
+	// tick in sorted host order.
 	hintPending map[rpc.HostID]int
 
 	stopped bool
@@ -319,9 +313,7 @@ func (m *Manager) SetUserOf(fn func(client rpc.HostID) string) { m.userOf = fn }
 // hint-rate health signal.
 func (m *Manager) WatchGossip(p *hostsel.Probabilistic) {
 	p.SetHintSink(func(subject rpc.HostID) {
-		m.hintMu.Lock()
 		m.hintPending[subject]++
-		m.hintMu.Unlock()
 	})
 }
 
@@ -401,10 +393,8 @@ func (m *Manager) run(env *sim.Env) error {
 // sorted host order for determinism.
 func (m *Manager) tick(env *sim.Env) {
 	now := env.Now()
-	m.hintMu.Lock()
 	pending := m.hintPending
 	m.hintPending = make(map[rpc.HostID]int)
-	m.hintMu.Unlock()
 	for _, host := range m.hosts {
 		rec := m.recs[host]
 		if n := pending[host]; n > 0 {

@@ -8,7 +8,7 @@ import (
 // signal is an exponentially-decayed event-rate accumulator: each bump
 // adds weight, and the accumulated value halves every half-life. Because
 // decay is a pure function of the gap between virtual timestamps, a
-// signal's trajectory is identical on the serial and parallel kernels.
+// signal's trajectory is identical on every rerun.
 type signal struct {
 	value float64
 	last  time.Duration

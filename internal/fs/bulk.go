@@ -51,7 +51,7 @@ func (c *Client) WriteAtBatch(env *sim.Env, st *Stream, runs []PageRun, maxRunBy
 		}
 		c.stats.BytesWritten += uint64(len(ext.Data))
 		if m := c.fs.m; m != nil {
-			m.bytesWritten.AddSlot(sim.WorkerSlot(env), int64(len(ext.Data)))
+			m.bytesWritten.Add(int64(len(ext.Data)))
 		}
 	}
 	return bs, nil
@@ -104,7 +104,7 @@ func (c *Client) ReadAtBulk(env *sim.Env, st *Stream, off int64, n int) ([]byte,
 		}
 		c.stats.BytesRead += uint64(len(data))
 		if m := c.fs.m; m != nil {
-			m.bytesRead.AddSlot(sim.WorkerSlot(env), int64(len(data)))
+			m.bytesRead.Add(int64(len(data)))
 		}
 		return data, bs, nil
 	}
@@ -122,7 +122,7 @@ func (c *Client) ReadAtBulk(env *sim.Env, st *Stream, off int64, n int) ([]byte,
 	copy(out, r.Data)
 	c.stats.BytesRead += uint64(len(out))
 	if m := c.fs.m; m != nil {
-		m.bytesRead.AddSlot(sim.WorkerSlot(env), int64(len(out)))
+		m.bytesRead.Add(int64(len(out)))
 	}
 	return out, bs, nil
 }

@@ -59,31 +59,7 @@ type Client struct {
 	// scrub, and a host that never reboots never gets scrubbed.
 	pendingCloses []pendingClose
 
-	// streamSeq allocates stream IDs host-locally when the transport is
-	// confined: the global FS sequence would be a cross-shard write on every
-	// Open, and its allocation order would differ between the serial and
-	// parallel kernels. The host id is folded into the high bits so the IDs
-	// stay unique cluster-wide.
-	streamSeq uint64
-
-	// pendingRec queues destination-cache reconciliations deferred by
-	// MoveStream under host confinement: the migrating process applies them
-	// itself once it lands on the target's shard (see ApplyReconciles).
-	pendingRec []Reconcile
-
 	stats ClientStats
-}
-
-// Reconcile is one deferred destination-cache update from a stream
-// migration: under host confinement the source host must not touch the
-// destination client's tables directly, so MoveStream records what the
-// destination needs to learn and the migrated process applies it after its
-// activity has rehomed to the target's shard.
-type Reconcile struct {
-	FID       FileID
-	Version   uint64
-	Cacheable bool
-	Size      int
 }
 
 // pendingClose is one queued close retry, tagged with the client's boot
@@ -168,7 +144,7 @@ func (c *Client) lookupServer(env *sim.Env, path string) (rpc.HostID, error) {
 	}
 	c.stats.PrefixQueries++
 	if m := c.fs.m; m != nil {
-		m.prefixQueries.IncSlot(sim.WorkerSlot(env))
+		m.prefixQueries.Inc()
 	}
 	prefix := c.fs.ns.prefixFor(path)
 	c.prefixCache.AddPrefix(prefix, host)
@@ -253,7 +229,7 @@ func (c *Client) Open(env *sim.Env, path string, mode OpenMode, opts OpenOptions
 		c.fileSize[r.FID] = r.Size
 	}
 	st := &Stream{
-		ID:        c.nextStreamID(),
+		ID:        c.fs.nextStreamID(),
 		FID:       r.FID,
 		Path:      path,
 		Mode:      mode,
@@ -262,38 +238,6 @@ func (c *Client) Open(env *sim.Env, path string, mode OpenMode, opts OpenOptions
 		owners:    map[rpc.HostID]int{c.host: 1},
 	}
 	return st, nil
-}
-
-// nextStreamID allocates a stream ID. Confined transports use a host-local
-// sequence (tagged with the host in the high bits) so concurrent Opens on
-// different shards neither race on the global counter nor depend on
-// cross-shard allocation order; the serial oracle takes the same branch, so
-// the IDs are identical under both kernels.
-func (c *Client) nextStreamID() StreamID {
-	if c.fs.transport.Confined() {
-		c.streamSeq++
-		return StreamID(uint64(c.host)<<32 | c.streamSeq)
-	}
-	return c.fs.nextStreamID()
-}
-
-// TakeReconciles drains the destination-cache updates deferred by confined
-// stream moves. The migration path harvests them on the source shard right
-// after each MoveStream and carries them with the process.
-func (c *Client) TakeReconciles() []Reconcile {
-	rs := c.pendingRec
-	c.pendingRec = nil
-	return rs
-}
-
-// ApplyReconciles applies deferred destination-cache updates. It must run on
-// this client's home shard — the migrated process calls it right after
-// rehoming to the target host.
-func (c *Client) ApplyReconciles(rs []Reconcile) {
-	for _, r := range rs {
-		c.noteVersion(r.FID, r.Version, r.Cacheable)
-		c.fileSize[r.FID] = r.Size
-	}
 }
 
 // noteVersion reconciles the client's cache with the server's version: a
@@ -386,7 +330,7 @@ func (c *Client) Read(env *sim.Env, st *Stream, n int) ([]byte, error) {
 	}
 	c.stats.BytesRead += uint64(len(data))
 	if m := c.fs.m; m != nil {
-		m.bytesRead.AddSlot(sim.WorkerSlot(env), int64(len(data)))
+		m.bytesRead.Add(int64(len(data)))
 	}
 	return data, nil
 }
@@ -411,7 +355,7 @@ func (c *Client) ReadAt(env *sim.Env, st *Stream, off int64, n int) ([]byte, err
 	}
 	c.stats.BytesRead += uint64(len(data))
 	if m := c.fs.m; m != nil {
-		m.bytesRead.AddSlot(sim.WorkerSlot(env), int64(len(data)))
+		m.bytesRead.Add(int64(len(data)))
 	}
 	return data, nil
 }
@@ -436,7 +380,7 @@ func (c *Client) Write(env *sim.Env, st *Stream, data []byte) (int, error) {
 	}
 	c.stats.BytesWritten += uint64(len(data))
 	if m := c.fs.m; m != nil {
-		m.bytesWritten.AddSlot(sim.WorkerSlot(env), int64(len(data)))
+		m.bytesWritten.Add(int64(len(data)))
 	}
 	return len(data), nil
 }
@@ -452,7 +396,7 @@ func (c *Client) WriteAt(env *sim.Env, st *Stream, off int64, data []byte) error
 	}
 	c.stats.BytesWritten += uint64(len(data))
 	if m := c.fs.m; m != nil {
-		m.bytesWritten.AddSlot(sim.WorkerSlot(env), int64(len(data)))
+		m.bytesWritten.Add(int64(len(data)))
 	}
 	return nil
 }
@@ -555,14 +499,14 @@ func (c *Client) readBlock(env *sim.Env, st *Stream, block int) ([]byte, error) 
 		if b, ok := c.blocks[key]; ok {
 			c.stats.Hits++
 			if m := c.fs.m; m != nil {
-				m.hits.IncSlot(sim.WorkerSlot(env))
+				m.hits.Inc()
 			}
 			c.lru.MoveToFront(b.elem)
 			return b.data, nil
 		}
 		c.stats.Misses++
 		if m := c.fs.m; m != nil {
-			m.misses.IncSlot(sim.WorkerSlot(env))
+			m.misses.Inc()
 		}
 	}
 	reply, err := c.ep.Call(env, st.FID.Server, "fs.read", readArgs{FID: st.FID, Block: block}, 32)
@@ -735,7 +679,7 @@ func (c *Client) flushBlock(env *sim.Env, b *cacheBlock) error {
 	b.dirty = false
 	c.stats.BlockFlushes++
 	if m := c.fs.m; m != nil {
-		m.flushes.IncSlot(sim.WorkerSlot(env))
+		m.flushes.Inc()
 	}
 	if r, ok := reply.(writeReply); ok {
 		c.fileVer[b.key.fid] = r.Version
@@ -815,7 +759,7 @@ func (c *Client) handleFlushCallback(env *sim.Env, from rpc.HostID, arg any) (an
 	}
 	c.stats.Recalls++
 	if m := c.fs.m; m != nil {
-		m.recalls.IncSlot(sim.WorkerSlot(env))
+		m.recalls.Inc()
 	}
 	if err := c.FlushFile(env, a.FID); err != nil {
 		return nil, 0, err
@@ -832,7 +776,7 @@ func (c *Client) handleDisableCallback(env *sim.Env, from rpc.HostID, arg any) (
 	}
 	c.stats.Recalls++
 	if m := c.fs.m; m != nil {
-		m.recalls.IncSlot(sim.WorkerSlot(env))
+		m.recalls.Inc()
 	}
 	if err := c.FlushFile(env, a.FID); err != nil {
 		return nil, 0, err
@@ -1006,7 +950,7 @@ func (c *Client) MoveStream(env *sim.Env, st *Stream, to rpc.HostID) error {
 			return err
 		}
 		if m := c.fs.m; m != nil {
-			m.pipeMoves.IncSlot(sim.WorkerSlot(env))
+			m.pipeMoves.Inc()
 		}
 		return nil
 	}
@@ -1027,7 +971,7 @@ func (c *Client) MoveStream(env *sim.Env, st *Stream, to rpc.HostID) error {
 			FID:    st.FID,
 			Mode:   st.Mode,
 			From:   sourceForMove(c.host, keepSource),
-			To:     to,
+			To:     targetForMove(to, addTarget),
 			Offset: st.offset,
 			Share:  share,
 		}, 72)
@@ -1044,15 +988,8 @@ func (c *Client) MoveStream(env *sim.Env, st *Stream, to rpc.HostID) error {
 		}
 		if r, ok := reply.(openReply); ok {
 			st.cacheable = r.Cacheable
-			// Let the destination host reconcile its cache. Under host
-			// confinement the destination client's tables belong to another
-			// shard, so the update is deferred: the migrating process carries
-			// it and applies it after rehoming (ApplyReconciles).
-			if c.fs.transport.Confined() {
-				c.pendingRec = append(c.pendingRec, Reconcile{
-					FID: st.FID, Version: r.Version, Cacheable: r.Cacheable, Size: r.Size,
-				})
-			} else if dst := c.fs.Client(to); dst != nil {
+			// Let the destination host reconcile its cache.
+			if dst := c.fs.Client(to); dst != nil {
 				dst.noteVersion(st.FID, r.Version, r.Cacheable)
 				dst.fileSize[st.FID] = r.Size
 			}
@@ -1063,7 +1000,7 @@ func (c *Client) MoveStream(env *sim.Env, st *Stream, to rpc.HostID) error {
 		st.shared = true
 	}
 	if m := c.fs.m; m != nil {
-		m.streamMoves.IncSlot(sim.WorkerSlot(env))
+		m.streamMoves.Inc()
 	}
 	return nil
 }
@@ -1075,4 +1012,14 @@ func sourceForMove(host rpc.HostID, keepSource bool) rpc.HostID {
 		return rpc.NoHost
 	}
 	return host
+}
+
+// targetForMove returns the host the server should add an open reference
+// for, or NoHost when the target already holds one: the stream's sharers
+// reuniting on a host must not count that host twice.
+func targetForMove(host rpc.HostID, addTarget bool) rpc.HostID {
+	if addTarget {
+		return host
+	}
+	return rpc.NoHost
 }

@@ -241,11 +241,11 @@ func (c *Client) CreatePipe(env *sim.Env) (r, w *Stream, err error) {
 	}
 	fid := FileID{Server: srvHost, Ino: pr.Ino}
 	r = &Stream{
-		ID: c.nextStreamID(), FID: fid, Path: fmt.Sprintf("<pipe %d r>", pr.Ino),
+		ID: c.fs.nextStreamID(), FID: fid, Path: fmt.Sprintf("<pipe %d r>", pr.Ino),
 		Mode: ReadMode, pipe: true, owners: map[rpc.HostID]int{c.host: 1},
 	}
 	w = &Stream{
-		ID: c.nextStreamID(), FID: fid, Path: fmt.Sprintf("<pipe %d w>", pr.Ino),
+		ID: c.fs.nextStreamID(), FID: fid, Path: fmt.Sprintf("<pipe %d w>", pr.Ino),
 		Mode: WriteMode, pipe: true, owners: map[rpc.HostID]int{c.host: 1},
 	}
 	return r, w, nil
@@ -263,7 +263,7 @@ func (c *Client) pipeRead(env *sim.Env, st *Stream, n int) ([]byte, error) {
 	}
 	c.stats.BytesRead += uint64(len(r.Data))
 	if m := c.fs.m; m != nil {
-		m.bytesRead.AddSlot(sim.WorkerSlot(env), int64(len(r.Data)))
+		m.bytesRead.Add(int64(len(r.Data)))
 	}
 	return r.Data, nil
 }
@@ -281,7 +281,7 @@ func (c *Client) pipeWrite(env *sim.Env, st *Stream, data []byte) (int, error) {
 	}
 	c.stats.BytesWritten += uint64(r.Size)
 	if m := c.fs.m; m != nil {
-		m.bytesWritten.AddSlot(sim.WorkerSlot(env), int64(r.Size))
+		m.bytesWritten.Add(int64(r.Size))
 	}
 	return r.Size, nil
 }

@@ -714,18 +714,21 @@ func (s *Server) handleMigrateStream(env *sim.Env, from rpc.HostID, arg any) (an
 			delete(fl.opens, a.From)
 		}
 	}
-	if err := s.ensureConsistentOpen(env, fl, a.To, a.Mode); err != nil {
-		return nil, 0, err
-	}
-	st := fl.opens[a.To]
-	if st == nil {
-		st = &openState{}
-		fl.opens[a.To] = st
-	}
-	if a.Mode.canWrite() {
-		st.writers++
-	} else {
-		st.readers++
+	// ...to the target host, unless it already holds one (To is NoHost).
+	if a.To != rpc.NoHost {
+		if err := s.ensureConsistentOpen(env, fl, a.To, a.Mode); err != nil {
+			return nil, 0, err
+		}
+		st := fl.opens[a.To]
+		if st == nil {
+			st = &openState{}
+			fl.opens[a.To] = st
+		}
+		if a.Mode.canWrite() {
+			st.writers++
+		} else {
+			st.readers++
+		}
 	}
 	if a.Share {
 		// The access position is now shared across hosts: the server

@@ -55,15 +55,14 @@ func (i *Instrumented) Name() string { return i.inner.Name() }
 func (i *Instrumented) RequestHosts(env *sim.Env, client rpc.HostID, n int) ([]rpc.HostID, error) {
 	start := env.Now()
 	hosts, err := i.inner.RequestHosts(env, client, n)
-	slot := sim.WorkerSlot(env)
-	i.requestT.ObserveSlot(slot, env.Now()-start)
-	i.requests.IncSlot(slot)
-	i.granted.AddSlot(slot, int64(len(hosts)))
+	i.requestT.Observe(env.Now() - start)
+	i.requests.Inc()
+	i.granted.Add(int64(len(hosts)))
 	if err != nil || len(hosts) < n {
-		i.denied.IncSlot(slot)
+		i.denied.Inc()
 	}
 	if err != nil {
-		i.errs.IncSlot(slot)
+		i.errs.Inc()
 	}
 	return hosts, err
 }
@@ -72,10 +71,9 @@ func (i *Instrumented) RequestHosts(env *sim.Env, client rpc.HostID, n int) ([]r
 func (i *Instrumented) Release(env *sim.Env, client rpc.HostID, hosts []rpc.HostID) error {
 	start := env.Now()
 	err := i.inner.Release(env, client, hosts)
-	slot := sim.WorkerSlot(env)
-	i.releaseT.ObserveSlot(slot, env.Now()-start)
+	i.releaseT.Observe(env.Now() - start)
 	if err != nil {
-		i.errs.IncSlot(slot)
+		i.errs.Inc()
 	}
 	return err
 }
@@ -84,10 +82,9 @@ func (i *Instrumented) Release(env *sim.Env, client rpc.HostID, hosts []rpc.Host
 func (i *Instrumented) NotifyAvailability(env *sim.Env, host rpc.HostID, available bool) error {
 	start := env.Now()
 	err := i.inner.NotifyAvailability(env, host, available)
-	slot := sim.WorkerSlot(env)
-	i.notifyT.ObserveSlot(slot, env.Now()-start)
+	i.notifyT.Observe(env.Now() - start)
 	if err != nil {
-		i.errs.IncSlot(slot)
+		i.errs.Inc()
 	}
 	return err
 }

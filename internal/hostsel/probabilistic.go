@@ -560,7 +560,7 @@ func (p *Probabilistic) RequestHosts(env *sim.Env, client rpc.HostID, n int) ([]
 		}
 		p.stats.Messages++
 		if p.ageT != nil {
-			p.ageT.ObserveSlot(sim.WorkerSlot(env), cd.Age)
+			p.ageT.Observe(cd.Age)
 		}
 		reply, err := ep.Call(env, cd.Host, "hs.claim", claimArgs{Client: client}, 16)
 		if err != nil {

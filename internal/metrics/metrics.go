@@ -28,32 +28,9 @@ import (
 	"sprite/internal/stats"
 )
 
-// counterCell is one worker's private counter slot, padded out to a cache
-// line so neighbouring workers' increments never contend (the sigmaos
-// stats.Tcounter "separate cache lines" idiom). The atomic is only for the
-// snapshot reader; each cell has exactly one writer.
-type counterCell struct {
-	v atomic.Int64
-	_ [56]byte
-}
-
-// Counter is a monotonically increasing event count. When the registry has
-// sharding enabled, AddSlot lets concurrently dispatched simulation workers
-// increment private cache-line-padded cells that are summed only when the
-// value is read, so the merged count is exactly what a serial run would
-// have produced (integer addition is commutative) at none of the
-// cross-core contention.
+// Counter is a monotonically increasing event count.
 type Counter struct {
-	v     atomic.Int64
-	cells []counterCell
-}
-
-// shard equips the counter with private cells for slots 1..n. Called under
-// the registry lock before the counter is shared with workers.
-func (c *Counter) shard(n int) {
-	if c.cells == nil {
-		c.cells = make([]counterCell, n)
-	}
+	v atomic.Int64
 }
 
 // Inc adds one.
@@ -62,29 +39,8 @@ func (c *Counter) Inc() { c.v.Add(1) }
 // Add adds n (n may be any sign; use Gauge for values meant to go down).
 func (c *Counter) Add(n int64) { c.v.Add(n) }
 
-// AddSlot adds n through the worker slot's private cell (sim.WorkerSlot).
-// Slot 0 — the serial kernel, shard 0, scheduler context — and any
-// out-of-range slot fall through to the shared base cell.
-func (c *Counter) AddSlot(slot int, n int64) {
-	if slot <= 0 || slot > len(c.cells) {
-		c.v.Add(n)
-		return
-	}
-	c.cells[slot-1].v.Add(n)
-}
-
-// IncSlot adds one through the worker slot's private cell.
-func (c *Counter) IncSlot(slot int) { c.AddSlot(slot, 1) }
-
-// Value returns the current count: the base cell plus every worker cell,
-// merged in slot order.
-func (c *Counter) Value() int64 {
-	v := c.v.Load()
-	for i := range c.cells {
-		v += c.cells[i].v.Load()
-	}
-	return v
-}
+// Value returns the current count.
+func (c *Counter) Value() int64 { return c.v.Load() }
 
 // Gauge is an instantaneous level (queue depth, in-flight migrations).
 type Gauge struct {
@@ -132,8 +88,7 @@ type TimingBuckets struct {
 // migration phase at the thesis's hardware scale.
 var DefaultTimingBuckets = TimingBuckets{Lo: 0, Width: 10 * time.Millisecond, Buckets: 100}
 
-// timingAcc is the accumulator state shared by a Timing's base cell and
-// its per-worker cells.
+// timingAcc is a Timing's accumulator state.
 type timingAcc struct {
 	n        uint64
 	sum      time.Duration
@@ -155,59 +110,21 @@ func (a *timingAcc) observe(d time.Duration) {
 	a.sketch.Add(d.Seconds())
 }
 
-// timingCell is one worker's private timing slot. Cells are separately
-// allocated and padded so concurrent workers never share a cache line; the
-// mutex is uncontended (one writer per cell) and exists for the snapshot
-// reader.
-type timingCell struct {
-	mu sync.Mutex
-	timingAcc
-	_ [32]byte
-}
-
 // Timing accumulates duration observations: count, sum, min, max, a
-// fixed-bucket histogram, and an online quantile sketch. With registry
-// sharding enabled, ObserveSlot records into per-worker cells that are
-// merged only when the timing is read. Counts, sums (integer nanoseconds),
-// extrema, and sketch buckets are all commutative, so the merged view is
-// bit-for-bit what a serial run observing the same durations would report,
-// for any worker count.
+// fixed-bucket histogram, and an online quantile sketch.
 type Timing struct {
 	mu sync.Mutex
 	timingAcc
-	buckets TimingBuckets
-	cells   []*timingCell
 }
 
 func newTiming(b TimingBuckets) *Timing {
 	if b.Buckets <= 0 {
 		b = DefaultTimingBuckets
 	}
-	t := &Timing{}
-	t.timingAcc = newTimingAcc(b)
-	t.buckets = b
-	return t
-}
-
-func newTimingAcc(b TimingBuckets) timingAcc {
-	return timingAcc{
+	return &Timing{timingAcc: timingAcc{
 		hist:   stats.NewHistogram(b.Lo.Seconds(), b.Width.Seconds(), b.Buckets),
 		sketch: stats.NewSketch(stats.DefaultSketchAccuracy),
-	}
-}
-
-// shard equips the timing with private cells for slots 1..n. Called under
-// the registry lock before the timing is shared with workers.
-func (t *Timing) shard(n int) {
-	if t.cells != nil {
-		return
-	}
-	t.cells = make([]*timingCell, n)
-	for i := range t.cells {
-		c := &timingCell{}
-		c.timingAcc = newTimingAcc(t.buckets)
-		t.cells[i] = c
-	}
+	}}
 }
 
 // Observe records one duration.
@@ -217,49 +134,14 @@ func (t *Timing) Observe(d time.Duration) {
 	t.observe(d)
 }
 
-// ObserveSlot records one duration through the worker slot's private cell
-// (sim.WorkerSlot). Slot 0 and out-of-range slots use the shared base cell.
-func (t *Timing) ObserveSlot(slot int, d time.Duration) {
-	if slot <= 0 || slot > len(t.cells) {
-		t.Observe(d)
-		return
-	}
-	c := t.cells[slot-1]
-	c.mu.Lock()
-	c.observe(d)
-	c.mu.Unlock()
-}
-
-// fold merges the base cell and every worker cell (in slot order) into one
-// view: scalar accumulators plus a freshly merged sketch that the caller
-// owns. With no cells this is just a copy of the base state.
+// fold returns a consistent copy of the scalar accumulators plus a copy of
+// the sketch that the caller owns.
 func (t *Timing) fold() (acc timingAcc, sketch *stats.Sketch) {
 	t.mu.Lock()
+	defer t.mu.Unlock()
 	acc = t.timingAcc
-	if len(t.cells) == 0 {
-		sk := stats.NewSketch(acc.sketch.Alpha())
-		_ = sk.Merge(acc.sketch)
-		t.mu.Unlock()
-		return acc, sk
-	}
 	sketch = stats.NewSketch(acc.sketch.Alpha())
 	_ = sketch.Merge(acc.sketch)
-	t.mu.Unlock()
-	for _, c := range t.cells {
-		c.mu.Lock()
-		if c.n > 0 {
-			if acc.n == 0 || c.min < acc.min {
-				acc.min = c.min
-			}
-			if acc.n == 0 || c.max > acc.max {
-				acc.max = c.max
-			}
-			acc.n += c.n
-			acc.sum += c.sum
-			_ = sketch.Merge(c.sketch)
-		}
-		c.mu.Unlock()
-	}
 	return acc, sketch
 }
 
@@ -332,7 +214,6 @@ type Registry struct {
 	gauges   map[string]*Gauge
 	timings  map[string]*Timing
 	buckets  TimingBuckets
-	slots    int
 
 	// emit, when set, receives one trace event per finished span —
 	// the hook that layers spans onto internal/trace.
@@ -357,36 +238,6 @@ func (r *Registry) SetTrace(fn func(at time.Duration, kind, detail string)) {
 	r.emit = fn
 }
 
-// EnableSharding equips every instrument — existing and future — with
-// `slots` private per-worker cells, so AddSlot/IncSlot/ObserveSlot from
-// concurrently dispatched simulation workers land on disjoint cache lines.
-// Call it once, before the parallel kernel starts (cells must not appear
-// while workers are mid-window). Gauges are not sharded: Set is
-// last-writer-wins, which only the replayed serial order can decide, so
-// gauge writes stay confined to the exclusive shard.
-func (r *Registry) EnableSharding(slots int) {
-	if slots <= 0 {
-		return
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.slots = slots
-	for _, c := range r.counters {
-		c.shard(slots)
-	}
-	for _, t := range r.timings {
-		t.shard(slots)
-	}
-}
-
-// Slots returns the per-worker cell count set by EnableSharding (0 when
-// sharding is off).
-func (r *Registry) Slots() int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.slots
-}
-
 // Counter returns the named counter, creating it if needed.
 func (r *Registry) Counter(name string) *Counter {
 	r.mu.Lock()
@@ -394,9 +245,6 @@ func (r *Registry) Counter(name string) *Counter {
 	c, ok := r.counters[name]
 	if !ok {
 		c = &Counter{}
-		if r.slots > 0 {
-			c.shard(r.slots)
-		}
 		r.counters[name] = c
 	}
 	return c
@@ -421,9 +269,6 @@ func (r *Registry) Timing(name string) *Timing {
 	t, ok := r.timings[name]
 	if !ok {
 		t = newTiming(r.buckets)
-		if r.slots > 0 {
-			t.shard(r.slots)
-		}
 		r.timings[name] = t
 	}
 	return t

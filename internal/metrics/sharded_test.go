@@ -3,46 +3,68 @@ package metrics
 import (
 	"fmt"
 	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 )
 
-// TestShardedCounterExact proves the sharded counter's merged value is
-// exactly the serial count: the same increment stream, dealt round-robin
-// across worker slots, folds back to the single-cell total (integer
-// addition is commutative — no approximation anywhere).
-func TestShardedCounterExact(t *testing.T) {
-	const slots, n = 8, 10_000
-	serial := New()
-	sharded := New()
-	sharded.EnableSharding(slots)
-	sc := serial.Counter("m")
-	pc := sharded.Counter("m")
-	for i := 0; i < n; i++ {
-		sc.Add(int64(i % 7))
-		pc.AddSlot(1+i%slots, int64(i%7))
-	}
-	if sc.Value() != pc.Value() {
-		t.Fatalf("sharded counter diverged: %d vs %d", pc.Value(), sc.Value())
-	}
-}
+// The tests in this file split one stream of observations into shards —
+// per-host timings, or concurrent writer goroutines — and check that the
+// fold back is exact: the cluster roll-up of per-host timings (Timing.Merge)
+// and concurrent writes through cached instrument pointers must render the
+// same Snapshot.Text bytes as one serial instrument fed the whole stream.
 
-// TestShardedTimingExact proves the merged timing — count, sum, extrema,
-// and every sketch-derived quantile — is byte-identical to a serial timing
-// fed the same observations, for any round-robin split across slots. The
-// comparison is on Snapshot.Text, the exact bytes the determinism goldens
-// diff.
-func TestShardedTimingExact(t *testing.T) {
-	const n = 5_000
-	durations := make([]time.Duration, n)
+// shardDurations is a fixed xorshift stream of durations below 50 ms.
+func shardDurations(n int) []time.Duration {
+	out := make([]time.Duration, n)
 	x := uint64(0x9e3779b97f4a7c15)
-	for i := range durations {
+	for i := range out {
 		x ^= x << 13
 		x ^= x >> 7
 		x ^= x << 17
-		durations[i] = time.Duration(x%50_000_000) * time.Nanosecond
+		out[i] = time.Duration(x%50_000_000) * time.Nanosecond
 	}
+	return out
+}
+
+// TestShardedCounterExact proves a counter fed by concurrent writers lands
+// exactly on the serial count: the same increment stream, dealt
+// round-robin across writer goroutines, renders the same snapshot as a
+// single writer (integer addition is commutative — no approximation).
+func TestShardedCounterExact(t *testing.T) {
+	const n = 10_000
+	serial := New()
+	sc := serial.Counter("m")
+	for i := 0; i < n; i++ {
+		sc.Add(int64(i % 7))
+	}
+	want := serial.Snapshot().Text()
+	for _, slots := range []int{1, 2, 4, 8} {
+		sharded := New()
+		pc := sharded.Counter("m")
+		var wg sync.WaitGroup
+		for s := 0; s < slots; s++ {
+			wg.Add(1)
+			go func(slot int) {
+				defer wg.Done()
+				for i := slot; i < n; i += slots {
+					pc.Add(int64(i % 7))
+				}
+			}(s)
+		}
+		wg.Wait()
+		if got := sharded.Snapshot().Text(); got != want {
+			t.Fatalf("slots=%d counter diverged:\n got: %s\nwant: %s", slots, got, want)
+		}
+	}
+}
+
+// TestShardedTimingExact proves the roll-up of per-host timings — count,
+// sum, extrema, and every sketch-derived quantile — is byte-identical to a
+// serial timing fed the same observations, for any round-robin split
+// across hosts. The comparison is on Snapshot.Text, the exact bytes the
+// determinism goldens diff.
+func TestShardedTimingExact(t *testing.T) {
+	durations := shardDurations(5_000)
 	serial := New()
 	st := serial.Timing("lat")
 	for _, d := range durations {
@@ -50,13 +72,21 @@ func TestShardedTimingExact(t *testing.T) {
 	}
 	want := serial.Snapshot().Text()
 	for _, slots := range []int{1, 2, 4, 8} {
-		sharded := New()
-		sharded.EnableSharding(slots)
-		pt := sharded.Timing("lat")
-		for i, d := range durations {
-			pt.ObserveSlot(1+i%slots, d)
+		hosts := make([]*Timing, slots)
+		for i := range hosts {
+			hosts[i] = newTiming(DefaultTimingBuckets)
 		}
-		if got := sharded.Snapshot().Text(); got != want {
+		for i, d := range durations {
+			hosts[i%slots].Observe(d)
+		}
+		cluster := New()
+		ct := cluster.Timing("lat")
+		for _, h := range hosts {
+			if err := ct.Merge(h); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if got := cluster.Snapshot().Text(); got != want {
 			t.Fatalf("slots=%d snapshot diverged:\n got: %s\nwant: %s", slots, got, want)
 		}
 	}
@@ -64,30 +94,41 @@ func TestShardedTimingExact(t *testing.T) {
 
 // TestShardedSpanTiling checks the invariant the migration spans rely on:
 // when per-phase durations tile a total (total = sum of phases), the
-// sharded timings preserve it exactly — Sum over the phase timing equals
-// Sum over the total timing even when phases land on different worker
-// slots than their totals.
+// cluster roll-up preserves it exactly — Sum over the phase timings equals
+// Sum over the total timing even when phases are recorded on different
+// hosts than their totals.
 func TestShardedSpanTiling(t *testing.T) {
 	const slots, migrations = 4, 500
-	r := New()
-	r.EnableSharding(slots)
-	phases := []*Timing{r.Timing("phase.freeze"), r.Timing("phase.transfer"), r.Timing("phase.resume")}
-	total := r.Timing("total")
+	names := []string{"phase.freeze", "phase.transfer", "phase.resume"}
+	hosts := make([]*Registry, slots)
+	for i := range hosts {
+		hosts[i] = New()
+	}
 	var wantTotal time.Duration
 	for i := 0; i < migrations; i++ {
-		var sum time.Duration
-		for j, p := range phases {
-			d := time.Duration((i*7+j*3)%977) * time.Microsecond
-			p.ObserveSlot(1+(i+j)%slots, d)
-			sum += d
+		start := time.Duration(i) * time.Second
+		now := start
+		for j, name := range names {
+			sp := hosts[(i+j)%slots].StartSpan(name, now)
+			now += time.Duration((i*7+j*3)%977) * time.Microsecond
+			sp.End(now)
 		}
-		total.ObserveSlot(1+i%slots, sum)
-		wantTotal += sum
+		hosts[i%slots].StartSpan("total", start).End(now)
+		wantTotal += now - start
+	}
+	cluster := New()
+	for _, h := range hosts {
+		for _, name := range append([]string{"total"}, names...) {
+			if err := cluster.Timing(name).Merge(h.Timing(name)); err != nil {
+				t.Fatal(err)
+			}
+		}
 	}
 	var phaseSum time.Duration
-	for _, p := range phases {
-		phaseSum += p.Sum()
+	for _, name := range names {
+		phaseSum += cluster.Timing(name).Sum()
 	}
+	total := cluster.Timing("total")
 	if phaseSum != wantTotal || total.Sum() != wantTotal {
 		t.Fatalf("span tiling broken: phases=%v total=%v want=%v", phaseSum, total.Sum(), wantTotal)
 	}
@@ -96,139 +137,75 @@ func TestShardedSpanTiling(t *testing.T) {
 	}
 }
 
-// TestEnableShardingRetrofit proves instruments created before
-// EnableSharding gain cells too, and that slot 0 / out-of-range slots fall
-// through to the shared base cell rather than dropping observations.
-func TestEnableShardingRetrofit(t *testing.T) {
-	r := New()
-	c := r.Counter("pre")
-	tm := r.Timing("pre")
-	c.Add(3)
-	tm.Observe(time.Millisecond)
-	r.EnableSharding(4)
-	if got := r.Slots(); got != 4 {
-		t.Fatalf("Slots() = %d, want 4", got)
-	}
-	c.AddSlot(2, 5)   // sharded path
-	c.AddSlot(0, 7)   // scheduler context: base cell
-	c.AddSlot(99, 11) // out of range: base cell
-	if got := c.Value(); got != 26 {
-		t.Fatalf("retrofitted counter = %d, want 26", got)
-	}
-	tm.ObserveSlot(3, 2*time.Millisecond)
-	tm.ObserveSlot(0, 3*time.Millisecond)
-	if got := tm.N(); got != 3 {
-		t.Fatalf("retrofitted timing n = %d, want 3", got)
-	}
-	if got := tm.Sum(); got != 6*time.Millisecond {
-		t.Fatalf("retrofitted timing sum = %v, want 6ms", got)
-	}
-}
-
-// TestShardedTimingMergeRollup proves cluster roll-ups (Timing.Merge) see
-// the folded per-worker state: merging a sharded per-host timing into an
-// unsharded cluster one yields the same result as merging its serial twin.
+// TestShardedTimingMergeRollup proves cluster roll-ups do not depend on the
+// order hosts are folded in: merging per-host timings forward, backward, or
+// through an intermediate roll-up yields the same summary as merging one
+// serial twin that saw every observation.
 func TestShardedTimingMergeRollup(t *testing.T) {
-	mk := func(sharded bool) *Timing {
-		r := New()
-		if sharded {
-			r.EnableSharding(4)
+	const slots = 4
+	mk := func() (serial *Timing, hosts []*Timing) {
+		serial = newTiming(DefaultTimingBuckets)
+		hosts = make([]*Timing, slots)
+		for i := range hosts {
+			hosts[i] = newTiming(DefaultTimingBuckets)
 		}
-		tm := r.Timing("host")
 		for i := 0; i < 300; i++ {
 			d := time.Duration(i%53) * 100 * time.Microsecond
-			if sharded {
-				tm.ObserveSlot(1+i%4, d)
-			} else {
-				tm.Observe(d)
-			}
+			serial.Observe(d)
+			hosts[i%slots].Observe(d)
 		}
-		return tm
+		return serial, hosts
 	}
-	rollup := func(host *Timing) string {
-		cluster := newTiming(DefaultTimingBuckets)
-		if err := cluster.Merge(host); err != nil {
-			t.Fatal(err)
-		}
-		s := cluster.summary()
+	render := func(tm *Timing) string {
+		s := tm.summary()
 		return fmt.Sprintf("%d %v %v %v %v %v %v", s.N, s.Sum, s.Min, s.Max, s.P50, s.P95, s.P99)
 	}
-	want := rollup(mk(false))
-	if got := rollup(mk(true)); got != want {
-		t.Fatalf("sharded rollup diverged:\n got: %s\nwant: %s", got, want)
+	rollup := func(parts ...*Timing) string {
+		cluster := newTiming(DefaultTimingBuckets)
+		for _, p := range parts {
+			if err := cluster.Merge(p); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return render(cluster)
+	}
+	serial, hosts := mk()
+	want := rollup(serial)
+	if got := rollup(hosts...); got != want {
+		t.Fatalf("forward rollup diverged:\n got: %s\nwant: %s", got, want)
+	}
+	if got := rollup(hosts[3], hosts[2], hosts[1], hosts[0]); got != want {
+		t.Fatalf("reverse rollup diverged:\n got: %s\nwant: %s", got, want)
+	}
+	left := newTiming(DefaultTimingBuckets)
+	for _, h := range hosts[:2] {
+		if err := left.Merge(h); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := rollup(left, hosts[2], hosts[3]); got != want {
+		t.Fatalf("two-level rollup diverged:\n got: %s\nwant: %s", got, want)
 	}
 }
 
-// BenchmarkRegistryParallel contrasts the contended single-cell counter
-// with the sharded per-slot cells under concurrent writers — the number
-// bench-wallclock tracks to show the parallel kernel's metrics plane does
-// not serialize on cache-line ping-pong.
-func BenchmarkRegistryParallel(b *testing.B) {
-	const slots = 8
-	b.Run("shared", func(b *testing.B) {
-		r := New()
-		c := r.Counter("hot")
-		b.RunParallel(func(pb *testing.PB) {
-			for pb.Next() {
-				c.Add(1)
-			}
-		})
-		_ = c.Value()
-	})
-	b.Run("sharded", func(b *testing.B) {
-		r := New()
-		r.EnableSharding(slots)
-		c := r.Counter("hot")
-		var next atomic.Int64
-		b.RunParallel(func(pb *testing.PB) {
-			slot := 1 + int(next.Add(1)-1)%slots
-			for pb.Next() {
-				c.AddSlot(slot, 1)
-			}
-		})
-		_ = c.Value()
-	})
-	b.Run("timing-shared", func(b *testing.B) {
-		r := New()
-		tm := r.Timing("hot")
-		b.RunParallel(func(pb *testing.PB) {
-			for pb.Next() {
-				tm.Observe(time.Millisecond)
-			}
-		})
-	})
-	b.Run("timing-sharded", func(b *testing.B) {
-		r := New()
-		r.EnableSharding(slots)
-		tm := r.Timing("hot")
-		var next atomic.Int64
-		b.RunParallel(func(pb *testing.PB) {
-			slot := 1 + int(next.Add(1)-1)%slots
-			for pb.Next() {
-				tm.ObserveSlot(slot, time.Millisecond)
-			}
-		})
-	})
-}
-
-// TestShardedConcurrentWriters is the race-detector companion to the
-// benchmark: slot-disjoint writers plus a concurrent snapshot reader.
+// TestShardedConcurrentWriters is the race-detector check of the shared
+// cells: writer goroutines on one counter and one timing plus a concurrent
+// snapshot reader, with no update lost.
 func TestShardedConcurrentWriters(t *testing.T) {
 	const slots, per = 8, 2_000
 	r := New()
-	r.EnableSharding(slots)
 	c := r.Counter("hot")
 	tm := r.Timing("hot")
 	var wg sync.WaitGroup
 	for s := 1; s <= slots; s++ {
 		wg.Add(1)
-		go func(slot int) {
+		go func() {
 			defer wg.Done()
 			for i := 0; i < per; i++ {
-				c.IncSlot(slot)
-				tm.ObserveSlot(slot, time.Duration(i)*time.Microsecond)
+				c.Inc()
+				tm.Observe(time.Duration(i) * time.Microsecond)
 			}
-		}(s)
+		}()
 	}
 	done := make(chan struct{})
 	go func() {

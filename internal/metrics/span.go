@@ -29,18 +29,13 @@ func (r *Registry) StartSpan(name string, now time.Duration) *Span {
 
 // End closes the span at virtual time now, records the elapsed duration,
 // and returns it. A second End (or End after Abort) is a no-op returning 0.
-func (s *Span) End(now time.Duration) time.Duration { return s.EndSlot(0, now) }
-
-// EndSlot is End recording through the worker slot's private timing cell
-// (sim.WorkerSlot); confined callers use it to keep phase timers off the
-// shared cells. Slot 0 is End exactly.
-func (s *Span) EndSlot(slot int, now time.Duration) time.Duration {
+func (s *Span) End(now time.Duration) time.Duration {
 	if s == nil || s.done {
 		return 0
 	}
 	s.done = true
 	d := now - s.start
-	s.reg.Timing(s.name).ObserveSlot(slot, d) //spritelint:allow metricname name was convention-checked at StartSpan; this is a re-lookup of the same string
+	s.reg.Timing(s.name).Observe(d) //spritelint:allow metricname name was convention-checked at StartSpan; this is a re-lookup of the same string
 	if emit := s.emitFn(); emit != nil {
 		emit(now, "span", fmt.Sprintf("%s took %v", s.name, d))
 	}
@@ -49,15 +44,12 @@ func (s *Span) EndSlot(slot int, now time.Duration) time.Duration {
 
 // Abort closes the span without recording a duration; the interruption is
 // counted under "<name>.aborted".
-func (s *Span) Abort(now time.Duration) { s.AbortSlot(0, now) }
-
-// AbortSlot is Abort counting through the worker slot's private cell.
-func (s *Span) AbortSlot(slot int, now time.Duration) {
+func (s *Span) Abort(now time.Duration) {
 	if s == nil || s.done {
 		return
 	}
 	s.done = true
-	s.reg.Counter(s.name + ".aborted").IncSlot(slot)
+	s.reg.Counter(s.name + ".aborted").Inc()
 	if emit := s.emitFn(); emit != nil {
 		emit(now, "span", fmt.Sprintf("%s aborted after %v", s.name, now-s.start))
 	}

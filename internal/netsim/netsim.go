@@ -9,7 +9,6 @@ package netsim
 
 import (
 	"errors"
-	"sync/atomic"
 	"time"
 
 	"sprite/internal/sim"
@@ -50,19 +49,15 @@ func DefaultParams() Params {
 }
 
 // Network charges virtual time for message deliveries and accounts traffic.
-// The traffic counters are atomics: with hosts confined to shards, senders on
-// different workers account concurrently, and commutative sums are the one
-// kind of shared state the confined contract allows (snapshots are only taken
-// from exclusive context, where every window has already committed).
 type Network struct {
 	params Params
 	medium *sim.Resource
 	hook   Hook
 
-	messages atomic.Uint64
-	bytes    atomic.Uint64
-	delayed  atomic.Uint64
-	dropped  atomic.Uint64
+	messages uint64
+	bytes    uint64
+	delayed  uint64
+	dropped  uint64
 }
 
 // New returns a network bound to the simulation.
@@ -99,7 +94,7 @@ func (n *Network) Send(env *sim.Env, bytes int) error {
 		return err
 	}
 	if drop {
-		n.dropped.Add(1)
+		n.dropped++
 		return ErrDropped
 	}
 	return nil
@@ -127,7 +122,7 @@ func (n *Network) SendPipelined(env *sim.Env, bytes int) error {
 		return err
 	}
 	if drop {
-		n.dropped.Add(1)
+		n.dropped++
 		return ErrDropped
 	}
 	return nil
@@ -136,44 +131,21 @@ func (n *Network) SendPipelined(env *sim.Env, bytes int) error {
 // account books one message on the traffic counters and consults the fault
 // hook. It charges no virtual time.
 func (n *Network) account(env *sim.Env, bytes int) (extra time.Duration, drop bool) {
-	n.messages.Add(1)
+	n.messages++
 	if bytes > 0 {
-		n.bytes.Add(uint64(bytes))
+		n.bytes += uint64(bytes)
 	}
 	if n.hook != nil {
 		extra, drop = n.hook(env, bytes)
 		if extra > 0 {
-			n.delayed.Add(1)
+			n.delayed++
 		}
 	}
 	return extra, drop
 }
 
-// Account books one message without charging any virtual time and returns
-// the delay components a mailbox-routed delivery must carry: the transfer
-// time, any hook-injected extra, and whether the hook dropped the message
-// (already counted). The confined RPC path uses it where Send would have
-// slept in the caller.
-func (n *Network) Account(env *sim.Env, bytes int) (xfer, extra time.Duration, drop bool) {
-	extra, drop = n.account(env, bytes)
-	if drop {
-		n.dropped.Add(1)
-	}
-	return n.TransferTime(bytes), extra, drop
-}
-
 // Latency returns the one-way propagation latency.
 func (n *Network) Latency() time.Duration { return n.params.Latency }
-
-// Contended reports whether transfers serialize through the shared medium.
-// The confined RPC path refuses to run on a contended network: the medium is
-// a cluster-global resource, which no shard may block on.
-func (n *Network) Contended() bool { return n.medium != nil }
-
-// Hooked reports whether a fault hook is installed. The confined RPC path
-// uses it to decide whether message loss is possible at all: with no hook and
-// no injector, replies always arrive and the timeout machinery stays inert.
-func (n *Network) Hooked() bool { return n.hook != nil }
 
 // SetHook installs (or, with nil, removes) the fault hook consulted on every
 // Send. With no hook installed, Send behaves exactly as before — the default
@@ -181,16 +153,16 @@ func (n *Network) Hooked() bool { return n.hook != nil }
 func (n *Network) SetHook(h Hook) { n.hook = h }
 
 // Messages returns the number of messages sent so far.
-func (n *Network) Messages() uint64 { return n.messages.Load() }
+func (n *Network) Messages() uint64 { return n.messages }
 
 // Bytes returns the cumulative payload bytes sent so far.
-func (n *Network) Bytes() uint64 { return n.bytes.Load() }
+func (n *Network) Bytes() uint64 { return n.bytes }
 
 // Dropped returns the number of messages the fault hook discarded.
-func (n *Network) Dropped() uint64 { return n.dropped.Load() }
+func (n *Network) Dropped() uint64 { return n.dropped }
 
 // Delayed returns the number of messages the fault hook slowed down.
-func (n *Network) Delayed() uint64 { return n.delayed.Load() }
+func (n *Network) Delayed() uint64 { return n.delayed }
 
 // Params returns the network's configuration.
 func (n *Network) Params() Params { return n.params }

@@ -64,33 +64,28 @@ func (e *Endpoint) CallBulk(env *sim.Env, to HostID, service string, arg any, ar
 	var bs BulkStats
 	target, ok := t.endpoints[to]
 	if !ok {
-		t.record(env, to, service, argSize, true)
+		t.record(to, service, argSize, true)
 		return nil, bs, fmt.Errorf("%w: %v", ErrNoHost, to)
 	}
 	if target.down || e.down {
-		t.record(env, to, service, argSize, true)
+		t.record(to, service, argSize, true)
 		return nil, bs, fmt.Errorf("%w: %v", ErrHostDown, to)
 	}
 	if e.host == to {
 		// Local shortcut: no network, no protocol overhead, no faults.
 		h, ok := target.services[service]
 		if !ok {
-			t.record(env, to, service, argSize, true)
+			t.record(to, service, argSize, true)
 			return nil, bs, fmt.Errorf("%w: %s on %v", ErrNoService, service, to)
 		}
 		bs.Calls = 1
 		reply, _, err := h(env, e.host, arg)
-		t.record(env, to, service, 0, err != nil)
+		t.record(to, service, 0, err != nil)
 		return reply, bs, err
-	}
-	if t.confined {
-		// Per-host shard delivery: the handler hops to the server's shard;
-		// the service lookup happens there too.
-		return e.callBulkConfined(env, target, service, arg, argSize, payloadBytes, dir)
 	}
 	h, ok := target.services[service]
 	if !ok {
-		t.record(env, to, service, argSize, true)
+		t.record(to, service, argSize, true)
 		return nil, bs, fmt.Errorf("%w: %s on %v", ErrNoService, service, to)
 	}
 	bs.Calls = 1
@@ -99,7 +94,7 @@ func (e *Endpoint) CallBulk(env *sim.Env, to HostID, service string, arg any, ar
 	}
 	wire := argSize + t.fragOverhead()
 	if err := e.bulkControl(env, target, service, argSize, t.fragOverhead()); err != nil {
-		t.record(env, to, service, wire, true)
+		t.record(to, service, wire, true)
 		return nil, bs, err
 	}
 	var reply any
@@ -110,8 +105,8 @@ func (e *Endpoint) CallBulk(env *sim.Env, to HostID, service string, arg any, ar
 		w, err := e.streamFragments(env, target, service, payloadBytes, &bs)
 		wire += w
 		if err != nil {
-			t.record(env, to, service, wire, true)
-			t.recordBulk(env, &bs)
+			t.record(to, service, wire, true)
+			t.recordBulk(&bs)
 			return nil, bs, err
 		}
 		reply, replySize, herr = h(env, e.host, arg)
@@ -119,8 +114,8 @@ func (e *Endpoint) CallBulk(env *sim.Env, to HostID, service string, arg any, ar
 		// normal reply (the server answers retransmissions from its
 		// cached reply without re-running the handler).
 		if err := e.bulkControl(env, target, service, replySize, 0); err != nil {
-			t.record(env, to, service, wire+replySize, true)
-			t.recordBulk(env, &bs)
+			t.record(to, service, wire+replySize, true)
+			t.recordBulk(&bs)
 			return nil, bs, err
 		}
 		wire += replySize
@@ -130,20 +125,20 @@ func (e *Endpoint) CallBulk(env *sim.Env, to HostID, service string, arg any, ar
 			w, err := e.streamFragments(env, target, service, replySize, &bs)
 			wire += w
 			if err != nil {
-				t.record(env, to, service, wire, true)
-				t.recordBulk(env, &bs)
+				t.record(to, service, wire, true)
+				t.recordBulk(&bs)
 				return nil, bs, err
 			}
 		} else if err := e.bulkControl(env, target, service, t.fragOverhead(), 0); err != nil {
 			// The error reply is a plain small message.
-			t.record(env, to, service, wire, true)
+			t.record(to, service, wire, true)
 			return nil, bs, err
 		}
 	default:
 		return nil, bs, fmt.Errorf("rpc: unknown bulk direction %d", dir)
 	}
-	t.record(env, to, service, wire, herr != nil)
-	t.recordBulk(env, &bs)
+	t.record(to, service, wire, herr != nil)
+	t.recordBulk(&bs)
 	return reply, bs, herr
 }
 
@@ -172,15 +167,14 @@ func (t *Transport) window() int {
 }
 
 // recordBulk folds one transfer's stats into the bulk metrics counters.
-func (t *Transport) recordBulk(env *sim.Env, bs *BulkStats) {
+func (t *Transport) recordBulk(bs *BulkStats) {
 	if t.m.reg == nil {
 		return
 	}
-	slot := sim.WorkerSlot(env)
-	t.m.bulkCalls.IncSlot(slot)
-	t.m.bulkBytes.AddSlot(slot, int64(bs.Bytes))
-	t.m.bulkFragments.AddSlot(slot, int64(bs.Fragments))
-	t.m.bulkRetransmits.AddSlot(slot, int64(bs.Retransmits))
+	t.m.bulkCalls.Inc()
+	t.m.bulkBytes.Add(int64(bs.Bytes))
+	t.m.bulkFragments.Add(int64(bs.Fragments))
+	t.m.bulkRetransmits.Add(int64(bs.Retransmits))
 }
 
 // bulkControl delivers one small control round trip (handshake or final

@@ -13,8 +13,6 @@ import (
 	"errors"
 	"fmt"
 	"sort"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"sprite/internal/metrics"
@@ -152,37 +150,21 @@ type CallStats struct {
 	Errs  uint64
 }
 
-// svcStats is the internal, concurrency-safe accumulator behind CallStats.
-// Confined hosts record calls from concurrently dispatched workers, so the
-// fields are atomics (integer addition commutes, so the merged totals match
-// a serial run exactly).
-type svcStats struct {
-	calls atomic.Uint64
-	bytes atomic.Uint64
-	errs  atomic.Uint64
-}
-
 // Transport is the RPC fabric connecting all hosts.
 type Transport struct {
 	sim       *sim.Simulation
 	net       *netsim.Network
 	params    Params
 	endpoints map[HostID]*Endpoint
-	stats     sync.Map // service name -> *svcStats
+	stats     map[string]*CallStats
 	injector  Injector
 	observer  EpochObserver
 	hintObs   HintObserver
-	retries   atomic.Uint64
-	timeouts  atomic.Uint64
-
-	// confined is set by ConfineHosts: every remote call is routed through
-	// per-host shard mailboxes instead of executing the handler inline in
-	// the caller's activity.
-	confined bool
-	shardOf  func(HostID) int
+	retries   uint64
+	timeouts  uint64
 
 	// Optional metrics plane. Counter pointers are cached here so the
-	// per-call cost with metrics installed is a handful of atomic adds.
+	// per-call cost with metrics installed is a handful of adds.
 	m struct {
 		reg      *metrics.Registry
 		calls    *metrics.Counter
@@ -227,25 +209,12 @@ func (t *Transport) SetMetrics(reg *metrics.Registry) {
 	t.m.bulkFragments = reg.Counter("rpc.bulk.fragments")
 	t.m.bulkRetransmits = reg.Counter("rpc.bulk.retransmits")
 	t.m.perHost = make(map[HostID]*hostCounters)
-	if t.confined {
-		t.precreateHostCounters()
-	}
 }
 
-// precreateHostCounters materializes the per-destination instrument set for
-// every registered host. Under confinement record() runs on concurrently
-// dispatched workers, so the map must be complete (read-only) before any
-// window executes.
-func (t *Transport) precreateHostCounters() {
-	if t.m.reg == nil {
-		return
+func (t *Transport) hostCounters(to HostID) *hostCounters {
+	if hc, ok := t.m.perHost[to]; ok {
+		return hc
 	}
-	for _, id := range t.Hosts() {
-		t.makeHostCounters(id)
-	}
-}
-
-func (t *Transport) makeHostCounters(to HostID) *hostCounters {
 	hc := &hostCounters{
 		calls: t.m.reg.Counter(fmt.Sprintf("rpc.to.%v.calls", to)),
 		bytes: t.m.reg.Counter(fmt.Sprintf("rpc.to.%v.bytes", to)),
@@ -253,20 +222,6 @@ func (t *Transport) makeHostCounters(to HostID) *hostCounters {
 	}
 	t.m.perHost[to] = hc
 	return hc
-}
-
-func (t *Transport) hostCounters(to HostID) *hostCounters {
-	hc, ok := t.m.perHost[to]
-	if ok {
-		return hc
-	}
-	if t.confined {
-		// Unregistered destination (ErrNoHost path): skip the per-host
-		// instruments rather than mutate the shared map from a confined
-		// worker.
-		return nil
-	}
-	return t.makeHostCounters(to)
 }
 
 // SetInjector installs (or, with nil, removes) the fault injector consulted
@@ -287,20 +242,10 @@ func (t *Transport) SetEpochObserver(obs EpochObserver) { t.observer = obs }
 func (t *Transport) SetHintObserver(obs HintObserver) { t.hintObs = obs }
 
 // Retries returns the number of retransmissions performed so far.
-func (t *Transport) Retries() uint64 { return t.retries.Load() }
+func (t *Transport) Retries() uint64 { return t.retries }
 
 // Timeouts returns the number of calls that failed with ErrTimeout.
-func (t *Transport) Timeouts() uint64 { return t.timeouts.Load() }
-
-// Confined reports whether ConfineHosts has switched the transport to
-// per-host shard delivery.
-func (t *Transport) Confined() bool { return t.confined }
-
-// faulty reports whether any message-loss mechanism is installed. With no
-// injector and no network hook, nothing is ever lost, so the confined call
-// path can wait for replies without a timeout and the duplicate-suppression
-// cache stays unallocated.
-func (t *Transport) faulty() bool { return t.injector != nil || t.net.Hooked() }
+func (t *Transport) Timeouts() uint64 { return t.timeouts }
 
 // NewTransport returns an empty transport over the given network.
 func NewTransport(s *sim.Simulation, net *netsim.Network, params Params) *Transport {
@@ -309,18 +254,14 @@ func NewTransport(s *sim.Simulation, net *netsim.Network, params Params) *Transp
 		net:       net,
 		params:    params,
 		endpoints: make(map[HostID]*Endpoint),
+		stats:     make(map[string]*CallStats),
 	}
 }
 
-// Register creates (or returns) the endpoint for a host. Registration must
-// precede ConfineHosts: a confined transport's endpoint set is frozen, since
-// every endpoint needs a request mailbox and dispatcher homed on its shard.
+// Register creates (or returns) the endpoint for a host.
 func (t *Transport) Register(host HostID) *Endpoint {
 	if ep, ok := t.endpoints[host]; ok {
 		return ep
-	}
-	if t.confined {
-		panic(fmt.Sprintf("rpc: Register(%v) after ConfineHosts; confined transports have a frozen host set", host))
 	}
 	ep := &Endpoint{host: host, transport: t, services: make(map[string]Handler), epoch: 1}
 	t.endpoints[host] = ep
@@ -345,60 +286,44 @@ func (t *Transport) Network() *netsim.Network { return t.net }
 
 // Stats returns a copy of the per-service call statistics.
 func (t *Transport) Stats() map[string]CallStats {
-	out := make(map[string]CallStats)
-	t.stats.Range(func(k, v any) bool {
-		st := v.(*svcStats)
-		out[k.(string)] = CallStats{
-			Calls: st.calls.Load(),
-			Bytes: st.bytes.Load(),
-			Errs:  st.errs.Load(),
-		}
-		return true
-	})
+	out := make(map[string]CallStats, len(t.stats))
+	for k, st := range t.stats {
+		out[k] = *st
+	}
 	return out
 }
 
 // TotalCalls returns the total number of RPCs issued.
 func (t *Transport) TotalCalls() uint64 {
 	var n uint64
-	t.stats.Range(func(_, v any) bool {
-		n += v.(*svcStats).calls.Load()
-		return true
-	})
+	for _, st := range t.stats {
+		n += st.Calls
+	}
 	return n
 }
 
-func (t *Transport) svc(service string) *svcStats {
-	if v, ok := t.stats.Load(service); ok {
-		return v.(*svcStats)
+func (t *Transport) record(to HostID, service string, bytes int, failed bool) {
+	st := t.stats[service]
+	if st == nil {
+		st = &CallStats{}
+		t.stats[service] = st
 	}
-	v, _ := t.stats.LoadOrStore(service, &svcStats{})
-	return v.(*svcStats)
-}
-
-func (t *Transport) record(env *sim.Env, to HostID, service string, bytes int, failed bool) {
-	st := t.svc(service)
-	st.calls.Add(1)
-	st.bytes.Add(uint64(bytes))
+	st.Calls++
+	st.Bytes += uint64(bytes)
 	if failed {
-		st.errs.Add(1)
+		st.Errs++
 	}
 	if t.m.reg == nil {
 		return
 	}
-	slot := sim.WorkerSlot(env)
-	t.m.calls.IncSlot(slot)
-	t.m.bytes.AddSlot(slot, int64(bytes))
+	t.m.calls.Inc()
+	t.m.bytes.Add(int64(bytes))
 	hc := t.hostCounters(to)
-	if hc != nil {
-		hc.calls.IncSlot(slot)
-		hc.bytes.AddSlot(slot, int64(bytes))
-	}
+	hc.calls.Inc()
+	hc.bytes.Add(int64(bytes))
 	if failed {
-		t.m.errs.IncSlot(slot)
-		if hc != nil {
-			hc.errs.IncSlot(slot)
-		}
+		t.m.errs.Inc()
+		hc.errs.Inc()
 	}
 }
 
@@ -410,14 +335,6 @@ type Endpoint struct {
 	down      bool
 	epoch     Epoch
 	hints     HintProvider
-
-	// Confined-mode state (ConfineHosts): the host's shard, its request
-	// mailbox (homed on that shard), and the client-side transaction id
-	// sequence. xidSeq is only touched from the endpoint's home shard or
-	// the exclusive shard, so it needs no atomics.
-	shard  int
-	reqBox *sim.Mailbox
-	xidSeq uint64
 }
 
 // Host returns the endpoint's host id.
@@ -465,33 +382,27 @@ func (e *Endpoint) Call(env *sim.Env, to HostID, service string, arg any, argSiz
 	t := e.transport
 	target, ok := t.endpoints[to]
 	if !ok {
-		t.record(env, to, service, argSize, true)
+		t.record(to, service, argSize, true)
 		return nil, fmt.Errorf("%w: %v", ErrNoHost, to)
 	}
 	if target.down || e.down {
-		t.record(env, to, service, argSize, true)
+		t.record(to, service, argSize, true)
 		return nil, fmt.Errorf("%w: %v", ErrHostDown, to)
 	}
 	if e.host == to {
 		// Local shortcut: no network, no protocol overhead, no faults.
 		h, ok := target.services[service]
 		if !ok {
-			t.record(env, to, service, argSize, true)
+			t.record(to, service, argSize, true)
 			return nil, fmt.Errorf("%w: %s on %v", ErrNoService, service, to)
 		}
 		reply, _, err := h(env, e.host, arg)
-		t.record(env, to, service, 0, err != nil)
+		t.record(to, service, 0, err != nil)
 		return reply, err
-	}
-	if t.confined {
-		// Per-host shard delivery: the handler runs on the server's shard,
-		// reached through its request mailbox. The service lookup happens
-		// server-side too — the services table is shard-local state.
-		return e.callConfined(env, target, service, arg, argSize)
 	}
 	h, ok := target.services[service]
 	if !ok {
-		t.record(env, to, service, argSize, true)
+		t.record(to, service, argSize, true)
 		return nil, fmt.Errorf("%w: %s on %v", ErrNoService, service, to)
 	}
 	if err := env.Sleep(t.params.ClientOverhead); err != nil {
@@ -506,7 +417,7 @@ func (e *Endpoint) Call(env *sim.Env, to HostID, service string, arg any, argSiz
 		// A host that went down between attempts fails fast, like a channel
 		// reset in Sprite RPC.
 		if target.down || e.down {
-			t.record(env, to, service, argSize, true)
+			t.record(to, service, argSize, true)
 			return nil, fmt.Errorf("%w: %v", ErrHostDown, to)
 		}
 		var v Verdict
@@ -520,7 +431,7 @@ func (e *Endpoint) Call(env *sim.Env, to HostID, service string, arg any, argSiz
 		}
 		if v.DropRequest {
 			if err := e.awaitRetry(env, to, service, attempt); err != nil {
-				t.record(env, to, service, argSize, true)
+				t.record(to, service, argSize, true)
 				return nil, err
 			}
 			continue
@@ -528,7 +439,7 @@ func (e *Endpoint) Call(env *sim.Env, to HostID, service string, arg any, argSiz
 		if err := t.net.Send(env, argSize); err != nil {
 			if errors.Is(err, netsim.ErrDropped) {
 				if rerr := e.awaitRetry(env, to, service, attempt); rerr != nil {
-					t.record(env, to, service, argSize, true)
+					t.record(to, service, argSize, true)
 					return nil, rerr
 				}
 				continue
@@ -552,7 +463,7 @@ func (e *Endpoint) Call(env *sim.Env, to HostID, service string, arg any, argSiz
 		}
 		if v.DropReply {
 			if err := e.awaitRetry(env, to, service, attempt); err != nil {
-				t.record(env, to, service, argSize, true)
+				t.record(to, service, argSize, true)
 				return nil, err
 			}
 			continue
@@ -560,14 +471,14 @@ func (e *Endpoint) Call(env *sim.Env, to HostID, service string, arg any, argSiz
 		if nerr := t.net.Send(env, replySize); nerr != nil {
 			if errors.Is(nerr, netsim.ErrDropped) {
 				if rerr := e.awaitRetry(env, to, service, attempt); rerr != nil {
-					t.record(env, to, service, argSize, true)
+					t.record(to, service, argSize, true)
 					return nil, rerr
 				}
 				continue
 			}
 			return nil, nerr
 		}
-		t.record(env, to, service, argSize+replySize, herr != nil)
+		t.record(to, service, argSize+replySize, herr != nil)
 		if t.observer != nil {
 			t.observer(to, target.epoch)
 		}
@@ -589,28 +500,20 @@ func (t *Transport) callTimeout() time.Duration {
 // awaitRetry charges the client the retransmission timeout plus exponential
 // backoff, or fails the call with ErrTimeout once the retry budget is spent.
 func (e *Endpoint) awaitRetry(env *sim.Env, to HostID, service string, attempt int) error {
-	if err := env.Sleep(e.transport.callTimeout()); err != nil {
+	t := e.transport
+	if err := env.Sleep(t.callTimeout()); err != nil {
 		return err
 	}
-	return e.retryBookkeeping(env, to, service, attempt)
-}
-
-// retryBookkeeping is awaitRetry after the timeout has already elapsed (the
-// confined path waits it out inside Mailbox.RecvTimeout): count the retry or
-// the final timeout and charge the exponential backoff.
-func (e *Endpoint) retryBookkeeping(env *sim.Env, to HostID, service string, attempt int) error {
-	t := e.transport
-	slot := sim.WorkerSlot(env)
 	if attempt >= t.params.MaxRetries {
-		t.timeouts.Add(1)
+		t.timeouts++
 		if t.m.reg != nil {
-			t.m.timeouts.IncSlot(slot)
+			t.m.timeouts.Inc()
 		}
 		return fmt.Errorf("%w: %s to %v after %d attempts", ErrTimeout, service, to, attempt+1)
 	}
-	t.retries.Add(1)
+	t.retries++
 	if t.m.reg != nil {
-		t.m.retries.IncSlot(slot)
+		t.m.retries.Inc()
 	}
 	if b := t.params.RetryBackoff; b > 0 {
 		return env.Sleep(b << uint(attempt))
@@ -627,9 +530,6 @@ func (e *Endpoint) retryBookkeeping(env *sim.Env, to HostID, service string, att
 // prunes responders instead of triggering retransmission.
 func (e *Endpoint) Broadcast(env *sim.Env, service string, arg any, argSize int) (map[HostID]any, error) {
 	t := e.transport
-	if t.confined && env.Shard() != 0 {
-		panic(fmt.Sprintf("rpc: Broadcast(%s) from confined shard %d; broadcasts touch every host's state and are exclusive-only under confinement", service, env.Shard()))
-	}
 	if err := env.Sleep(t.params.ClientOverhead); err != nil {
 		return nil, err
 	}
@@ -669,7 +569,7 @@ func (e *Endpoint) Broadcast(env *sim.Env, service string, arg any, argSize int)
 			}
 			return nil, nerr
 		}
-		t.record(env, id, service+".bcast", argSize+replySize, false)
+		t.record(id, service+".bcast", argSize+replySize, false)
 		if t.observer != nil {
 			t.observer(id, target.epoch)
 		}

@@ -34,61 +34,6 @@ func BenchmarkEventLoop(b *testing.B) {
 	}
 }
 
-// benchConfined runs a population of shard-confined daemons whose ticks
-// carry real CPU work (a small hash loop standing in for per-host load
-// accounting), under the serial or the parallel kernel. The digest of the
-// committed order is returned so the benchmark doubles as an equivalence
-// smoke check.
-func benchConfined(b *testing.B, workers int) {
-	const (
-		shards = 64
-		ticks  = 200
-	)
-	b.ReportAllocs()
-	var first uint64
-	for i := 0; i < b.N; i++ {
-		s := New(1)
-		s.SetLookahead(time.Millisecond)
-		if workers > 0 {
-			s.ConfigureParallel(workers)
-		}
-		for sh := 1; sh <= shards; sh++ {
-			s.SpawnOn(sh, fmt.Sprintf("w%d", sh), func(env *Env) error {
-				h := uint64(env.Shard())
-				for k := 0; k < ticks; k++ {
-					if err := env.Sleep(10 * time.Microsecond); err != nil {
-						return err
-					}
-					for j := 0; j < 4000; j++ { // per-tick bookkeeping work
-						h = (h ^ uint64(j)) * 1099511628211
-					}
-				}
-				_ = h
-				return nil
-			})
-		}
-		if err := s.Run(0); err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			first = s.OrderDigest()
-		} else if s.OrderDigest() != first {
-			b.Fatalf("nondeterministic digest across runs: %#x vs %#x", s.OrderDigest(), first)
-		}
-	}
-}
-
-// BenchmarkParallelKernel compares the serial oracle against the parallel
-// kernel at increasing worker counts on a confined-daemon workload
-// (bench-wallclock's speedup evidence at the sim layer; E17 measures the
-// same at cluster scale).
-func BenchmarkParallelKernel(b *testing.B) {
-	b.Run("serial", func(b *testing.B) { benchConfined(b, 0) })
-	for _, w := range []int{1, 2, 4, 8} {
-		b.Run(fmt.Sprintf("workers%d", w), func(b *testing.B) { benchConfined(b, w) })
-	}
-}
-
 // BenchmarkEventLoopDrain measures shutdown: a large population of blocked
 // activities unwound by Stop. The drain path should be near-linear in the
 // number of activities, not quadratic.

@@ -57,7 +57,7 @@ func (c *CPU) Compute(env *Env, total time.Duration) error {
 			return err
 		}
 		err := env.Sleep(slice)
-		c.res.ReleaseEnv(env)
+		c.res.Release()
 		if err != nil {
 			return err
 		}

@@ -1,22 +1,12 @@
 // Package sim provides a deterministic discrete-event simulator whose
 // activities are ordinary goroutines.
 //
-// Exactly one activity runs at any instant under the serial kernel. An
-// activity blocks only through the primitives on its Env (Sleep, Future.Wait,
+// Exactly one activity runs at any instant. An activity blocks only through the primitives on its Env (Sleep, Future.Wait,
 // Queue.Recv, Resource.Acquire, ...); each of those hands control back to the
 // scheduler, which resumes the activity with the earliest pending event.
 // Events are ordered by (virtual time, sequence number), so a run is a pure
 // function of the program and the seed: re-running a simulation reproduces it
 // bit for bit.
-//
-// A conservative parallel kernel (ConfigureParallel, parallel.go) lifts the
-// one-at-a-time restriction for shard-confined activities: activities spawned
-// with SpawnOn(shard, ...) for shard > 0 may be dispatched concurrently with
-// other shards inside a lookahead window, while everything on shard 0 — the
-// default — keeps the exclusive serial discipline. The committed event order,
-// sequence numbering, statistics, and trace output are bit-for-bit identical
-// between the two kernels; the serial kernel is the oracle the equivalence
-// suite checks the parallel one against. See DESIGN.md §13 for the protocol.
 //
 // The package is the substrate for everything else in this repository: hosts,
 // kernels, RPCs, and user processes in the Sprite reproduction are all sim
@@ -50,27 +40,6 @@ type event struct {
 	seq uint64
 	act *activity // activity to resume (nil for fn-only events)
 	fn  func()    // optional callback run in scheduler context
-
-	// shard homes an fn-only event (shard-homed mailbox deliveries): the
-	// parallel kernel dispatches it on the owning shard's worker inside a
-	// window instead of treating it as an exclusive blocker. Activity events
-	// are homed by their activity's shard; the field is ignored for them.
-	shard int
-
-	// Parallel-kernel bookkeeping (unused by the serial kernel): rec is the
-	// effect log of this event's in-window dispatch, consumed marks events a
-	// worker popped (dispatched or skipped as cancelled) inside a window.
-	rec      *dispatchRec
-	consumed bool
-}
-
-// homeShard is the shard an event is ordered and dispatched on: the
-// activity's shard for activity events, the explicit homing for fn events.
-func (ev *event) homeShard() int {
-	if ev.act != nil {
-		return ev.act.shard
-	}
-	return ev.shard
 }
 
 type eventHeap []*event
@@ -107,28 +76,22 @@ const (
 
 // activity is one simulated thread of control.
 type activity struct {
-	id       uint64
-	shard    int    // 0 = exclusive (serial discipline); >0 = confined
-	spawnOrd uint64 // per-shard spawn ordinal, seeds LocalRand
-	name     string
-	state    activityState
-	resume   chan struct{} // scheduler -> activity handoff
-	yield    chan struct{} // activity -> scheduler handoff
-	env      *Env
-	wake     *event     // pending timer event, cancelled on early wake
-	woken    bool       // a wake event is already queued for this block
-	err      error      // set if the activity's function returned an error
-	reaped   bool       // completion bookkeeping already performed
-	daemon   bool       // service loop: excluded from deadlock detection
-	ctxw     *worker    // worker dispatching this activity inside a window
-	lrand    *rand.Rand // lazily created shard-local random stream
+	id     uint64
+	name   string
+	state  activityState
+	resume chan struct{} // scheduler -> activity handoff
+	yield  chan struct{} // activity -> scheduler handoff
+	env    *Env
+	wake   *event // pending timer event, cancelled on early wake
+	woken  bool   // a wake event is already queued for this block
+	err    error  // set if the activity's function returned an error
+	reaped bool   // completion bookkeeping already performed
 }
 
 // Stats counts scheduler work: how many events the loop dispatched, how
 // many activity context switches it performed, the deepest the event queue
 // ever got, and how many activities were spawned. The counters never affect
-// virtual time, and both kernels produce identical values for the same
-// program and seed.
+// virtual time, and are identical across runs of the same program and seed.
 type Stats struct {
 	EventsDispatched uint64
 	ContextSwitches  uint64
@@ -139,33 +102,22 @@ type Stats struct {
 // Simulation is a deterministic discrete-event simulator. The zero value is
 // not usable; construct with New.
 type Simulation struct {
-	now       time.Duration
-	queue     eventHeap
-	free      []*event // recycled event structs, reused by schedule
-	seq       uint64
-	actSeq    uint64
-	current   *activity
-	live      map[uint64]*activity
-	stopped   bool
-	rng       *rand.Rand
-	seed      int64
-	errs      []error
-	stats     Stats
-	digest    uint64
-	lookahead time.Duration // minimum cross-shard signalling delay
-	shards    map[int]*shardMeta
-	par       *parKernel // nil = serial kernel
-	traceSink func(at time.Duration, kind, detail string)
+	now     time.Duration
+	queue   eventHeap
+	free    []*event // recycled event structs, reused by schedule
+	seq     uint64
+	actSeq  uint64
+	live    map[uint64]*activity
+	stopped bool
+	rng     *rand.Rand
+	seed    int64
+	errs    []error
+	stats   Stats
+	digest  uint64
 
 	// Trace, when non-nil, receives one line per scheduler decision. It is
 	// intended for debugging tests, not production use.
 	Trace func(format string, args ...any)
-}
-
-// shardMeta carries per-shard deterministic state. Only the spawn ordinal
-// lives here today; it seeds LocalRand identically under both kernels.
-type shardMeta struct {
-	spawnSeq uint64
 }
 
 // Stats returns a copy of the scheduler's event-loop counters.
@@ -184,30 +136,22 @@ func New(seed int64) *Simulation {
 		rng:    rand.New(rand.NewSource(seed)),
 		seed:   seed,
 		digest: fnvOffset,
-		shards: make(map[int]*shardMeta),
 	}
 }
 
 // Now returns the current virtual time (elapsed since simulation start).
 func (s *Simulation) Now() time.Duration { return s.now }
 
-// Rand returns the simulation's deterministic random source. It must only be
-// used from exclusive (shard 0) contexts: handing the single stream to
-// concurrently dispatched activities would make draws depend on worker
-// interleaving. Confined activities use Env.LocalRand instead; the guard
-// fires identically under both kernels.
-func (s *Simulation) Rand() *rand.Rand {
-	s.exclusiveOnly("Rand")
-	return s.rng
-}
+// Rand returns the simulation's deterministic random source.
+func (s *Simulation) Rand() *rand.Rand { return s.rng }
 
 // Seed returns the seed the simulation was constructed with.
 func (s *Simulation) Seed() int64 { return s.seed }
 
 // OrderDigest returns an FNV-1a hash over the committed (time, sequence)
-// event order so far. Two runs of the same program and seed — serial or
-// parallel, any worker count — produce the same digest; the equivalence
-// suite uses it as a cheap first-line comparison before diffing traces.
+// event order so far. Two runs of the same program and seed produce the same
+// digest; the rerun-determinism suite uses it as a cheap first-line
+// comparison before diffing traces.
 func (s *Simulation) OrderDigest() uint64 { return s.digest }
 
 func (s *Simulation) noteCommit(at time.Duration, seq uint64) {
@@ -225,90 +169,16 @@ func (s *Simulation) noteCommit(at time.Duration, seq uint64) {
 	s.digest = h
 }
 
-// SetLookahead declares the minimum virtual-time delay of any cross-shard
-// interaction (typically the network propagation latency). The parallel
-// kernel uses it as the conservative lookahead bound; the serial kernel
-// stores it only to enforce the same Mailbox contracts, so a program that
-// violates them fails identically under the oracle.
-func (s *Simulation) SetLookahead(d time.Duration) {
-	if d < 0 {
-		d = 0
-	}
-	s.lookahead = d
-}
-
-// Lookahead returns the declared cross-shard lookahead.
-func (s *Simulation) Lookahead() time.Duration { return s.lookahead }
-
-// SetTraceSink installs (or with nil removes) the sink that Env.Emit
-// delivers structured trace events to. Under the parallel kernel, events
-// emitted inside a window are buffered and flushed in committed order, so
-// the sink observes the exact serial sequence.
-func (s *Simulation) SetTraceSink(fn func(at time.Duration, kind, detail string)) {
-	s.traceSink = fn
-}
-
-// exclusiveOnly panics when called from a shard-confined context. The two
-// kernels detect the same misuse: the serial oracle checks the running
-// activity's shard, the parallel kernel additionally refuses any call that
-// arrives while a window is executing.
-func (s *Simulation) exclusiveOnly(op string) {
-	if s.inWindow() {
-		panic("sim: Simulation." + op + " called from a shard-confined activity during a parallel window; confined activities must use their Env")
-	}
-	if cur := s.current; cur != nil && cur.shard != 0 {
-		panic("sim: Simulation." + op + " called from a shard-confined activity; confined activities must use their Env")
-	}
-}
-
-func (s *Simulation) inWindow() bool { return s.par != nil && s.par.inWindow }
-
-// Spawn registers fn as a new exclusive (shard 0) activity that becomes
-// runnable at the current virtual time. It may be called before Run or from
-// within a running exclusive activity. The returned Env belongs to the new
-// activity.
+// Spawn registers fn as a new activity that becomes runnable at the current
+// virtual time. It may be called before Run or from within a running
+// activity. The returned Env belongs to the new activity.
 func (s *Simulation) Spawn(name string, fn func(env *Env) error) *Env {
-	s.exclusiveOnly("Spawn")
-	return s.spawnOn(nil, 0, name, fn)
-}
-
-// SpawnOn registers fn as a new activity confined to the given shard.
-// Shard 0 is the exclusive shard: its activities run one at a time under
-// both kernels, exactly like Spawn. Shards > 0 are confined: under the
-// parallel kernel their activities may run concurrently with other shards
-// inside a lookahead window, so they must follow the confined contract
-// (LocalRand not Rand, shard-local primitives only, Mailbox for any
-// cross-shard signalling — see DESIGN.md §13). From a confined activity,
-// only the activity's own shard may be spawned onto.
-func (s *Simulation) SpawnOn(shard int, name string, fn func(env *Env) error) *Env {
-	s.exclusiveOnly("SpawnOn")
-	return s.spawnOn(nil, shard, name, fn)
-}
-
-// spawnOn creates the activity in execution context w (nil = exclusive).
-func (s *Simulation) spawnOn(w *worker, shard int, name string, fn func(env *Env) error) *Env {
-	if shard < 0 {
-		panic("sim: SpawnOn with negative shard")
-	}
-	meta := s.shards[shard]
-	if meta == nil {
-		if w != nil {
-			// A confined activity always has a meta for its own shard, and
-			// may only spawn onto its own shard.
-			panic("sim: confined spawn onto a foreign shard")
-		}
-		meta = &shardMeta{}
-		s.shards[shard] = meta
-	}
 	a := &activity{
-		shard:    shard,
-		spawnOrd: meta.spawnSeq,
-		name:     name,
-		state:    stateReady,
-		resume:   make(chan struct{}),
-		yield:    make(chan struct{}),
+		name:   name,
+		state:  stateReady,
+		resume: make(chan struct{}),
+		yield:  make(chan struct{}),
 	}
-	meta.spawnSeq++
 	a.env = &Env{sim: s, act: a}
 	go func() {
 		<-a.resume // wait for first scheduling
@@ -317,28 +187,15 @@ func (s *Simulation) spawnOn(w *worker, shard int, name string, fn func(env *Env
 		a.state = stateDone
 		a.yield <- struct{}{}
 	}()
-	if w != nil {
-		ev := w.scheduleLocal(w.now, a)
-		w.noteSpawn(ev, a)
-	} else {
-		s.admit(a)
-		s.schedule(s.now, a, nil)
-	}
-	return a.env
-}
-
-// admit performs the globally ordered half of spawning: id assignment and
-// liveness registration. Under the parallel kernel, confined spawns defer
-// this to the barrier replay so ids are assigned in committed order.
-func (s *Simulation) admit(a *activity) {
 	s.actSeq++
 	a.id = s.actSeq
 	s.live[a.id] = a
 	s.stats.Spawned++
+	s.schedule(s.now, a, nil)
+	return a.env
 }
 
-// reap performs completion bookkeeping for a finished activity, in the
-// exact committed position of the dispatch that finished it.
+// reap performs completion bookkeeping for a finished activity.
 func (s *Simulation) reap(a *activity) {
 	if a.reaped {
 		return
@@ -355,9 +212,8 @@ func (s *Simulation) reap(a *activity) {
 func safeRun(fn func(env *Env) error, env *Env) (err error) {
 	defer func() {
 		if r := recover(); r != nil {
-			// A panic value that is itself an error (the confined-contract
-			// violations panic with *ConfinedContractError) stays matchable
-			// through errors.Is/As after it surfaces as the activity error.
+			// A panic value that is itself an error stays matchable through
+			// errors.Is/As after it surfaces as the activity error.
 			if perr, ok := r.(error); ok {
 				err = fmt.Errorf("panic: %w", perr)
 			} else {
@@ -369,11 +225,8 @@ func safeRun(fn func(env *Env) error, env *Env) (err error) {
 }
 
 // After schedules fn to run in scheduler context (not as an activity) after
-// delay d. Use Spawn for anything that needs to block. After is an exclusive
-// primitive: confined activities cannot install scheduler callbacks (the
-// callback would run outside their shard's ordering domain).
+// delay d. Use Spawn for anything that needs to block.
 func (s *Simulation) After(d time.Duration, fn func()) {
-	s.exclusiveOnly("After")
 	if d < 0 {
 		d = 0
 	}
@@ -387,15 +240,6 @@ func (s *Simulation) schedule(at time.Duration, a *activity, fn func()) *event {
 	if n := len(s.queue); n > s.stats.MaxQueueDepth {
 		s.stats.MaxQueueDepth = n
 	}
-	return ev
-}
-
-// scheduleOnShard schedules an fn event homed to a confined shard. Under the
-// parallel kernel the event is dispatched inside a window by the shard's
-// worker; the serial kernel runs it at its (at, seq) position like any other.
-func (s *Simulation) scheduleOnShard(at time.Duration, shard int, fn func()) *event {
-	ev := s.schedule(at, nil, fn)
-	ev.shard = shard
 	return ev
 }
 
@@ -427,11 +271,7 @@ func (s *Simulation) release(ev *event) {
 // (limit <= 0 means no limit), or until Stop is called. It returns the first
 // error of: an activity error, a detected deadlock, or nil.
 func (s *Simulation) Run(limit time.Duration) error {
-	if s.par != nil {
-		s.runParallel(limit)
-	} else {
-		s.runSerial(limit)
-	}
+	s.loop(limit)
 	if s.stopped {
 		s.drain()
 	}
@@ -441,19 +281,7 @@ func (s *Simulation) Run(limit time.Duration) error {
 	if !s.stopped && (limit <= 0 || s.now < limit) && len(s.live) > 0 {
 		names := make([]string, 0, len(s.live))
 		for _, a := range s.live {
-			if !a.daemon {
-				names = append(names, a.name)
-			}
-		}
-		if len(names) == 0 {
-			// Only daemon service loops remain: the run has quiesced. Unwind
-			// them (they see ErrStopped) so no goroutines leak; the drain
-			// happens after the last commit, so it cannot perturb the digest.
-			s.drain()
-			if len(s.errs) > 0 {
-				return s.errs[0]
-			}
-			return nil
+			names = append(names, a.name)
 		}
 		sort.Strings(names)
 		return fmt.Errorf("%w: %v", ErrDeadlock, names)
@@ -461,8 +289,8 @@ func (s *Simulation) Run(limit time.Duration) error {
 	return nil
 }
 
-// runSerial is the classic one-event-at-a-time loop: the oracle kernel.
-func (s *Simulation) runSerial(limit time.Duration) {
+// loop dispatches events one at a time in (time, sequence) order.
+func (s *Simulation) loop(limit time.Duration) {
 	for len(s.queue) > 0 && !s.stopped {
 		ev := heap.Pop(&s.queue).(*event)
 		at, seq, act, fn := ev.at, ev.seq, ev.act, ev.fn
@@ -499,22 +327,16 @@ func (s *Simulation) dispatch(a *activity) {
 	s.stats.ContextSwitches++
 	a.wake = nil
 	a.state = stateRunning
-	s.current = a
 	a.resume <- struct{}{}
 	<-a.yield
-	s.current = nil
 	if a.state == stateDone {
 		s.reap(a)
 	}
 }
 
 // Stop aborts the simulation: all blocked activities are woken with
-// ErrStopped so their goroutines exit, and Run returns. Stop is an exclusive
-// primitive.
-func (s *Simulation) Stop() {
-	s.exclusiveOnly("Stop")
-	s.stopped = true
-}
+// ErrStopped so their goroutines exit, and Run returns.
+func (s *Simulation) Stop() { s.stopped = true }
 
 // drain wakes every remaining blocked activity with ErrStopped so that no
 // goroutines are leaked after Run returns.
@@ -572,133 +394,18 @@ type Env struct {
 // Sim returns the underlying simulation.
 func (e *Env) Sim() *Simulation { return e.sim }
 
-// Now returns the current virtual time: inside a parallel window, the
-// timestamp of the event being dispatched on this activity's worker, which
-// is exactly what the serial kernel's global clock would read.
-func (e *Env) Now() time.Duration {
-	if w := e.act.ctxw; w != nil {
-		return w.now
-	}
-	return e.sim.now
-}
+// Now returns the current virtual time.
+func (e *Env) Now() time.Duration { return e.sim.now }
 
-// Rand returns the simulation's deterministic random source. Confined
-// activities must use LocalRand: the global stream's draw order depends on
-// the interleaving of every consumer, which only shard 0 keeps fixed. The
-// guard fires under both kernels, so the serial oracle rejects the same
-// programs the parallel kernel would.
-func (e *Env) Rand() *rand.Rand {
-	if e.act.shard != 0 {
-		panic("sim: Env.Rand from shard-confined activity " + e.act.name + "; use Env.LocalRand")
-	}
-	return e.sim.rng
-}
-
-// LocalRand returns a deterministic random stream private to this activity,
-// seeded from (simulation seed, shard, per-shard spawn ordinal). The stream
-// is identical under both kernels and any worker count, which makes it the
-// only legal randomness source inside confined activities.
-func (e *Env) LocalRand() *rand.Rand {
-	if e.act.lrand == nil {
-		e.act.lrand = rand.New(rand.NewSource(mixSeed(e.sim.seed, e.act.shard, e.act.spawnOrd)))
-	}
-	return e.act.lrand
-}
-
-// mixSeed derives an independent stream seed with a splitmix64-style hash.
-func mixSeed(seed int64, shard int, ord uint64) int64 {
-	z := uint64(seed) ^ (uint64(shard) * 0x9e3779b97f4a7c15) ^ (ord * 0xbf58476d1ce4e5b9)
-	z ^= z >> 30
-	z *= 0xbf58476d1ce4e5b9
-	z ^= z >> 27
-	z *= 0x94d049bb133111eb
-	z ^= z >> 31
-	return int64(z)
-}
-
-// Shard returns the shard this activity is confined to (0 = exclusive).
-func (e *Env) Shard() int { return e.act.shard }
-
-// MarkDaemon flags the calling activity as a daemon service loop: a run that
-// quiesces with only daemons left (blocked in Recv, say) ends cleanly instead
-// of reporting a deadlock, and the daemons are unwound with ErrStopped. The
-// confined RPC dispatchers use it so bounded simulations terminate.
-func (e *Env) MarkDaemon() { e.act.daemon = true }
-
-// Rehome moves the calling activity to another shard after delay: the
-// activity parks, and resumes on the new shard once the delay elapses. It
-// models a thread of control physically moving between hosts (process
-// migration's switch-over). The delay is a cross-shard message and must be at
-// least the declared lookahead — enforced under both kernels, so the serial
-// oracle rejects the same programs the parallel kernel would. After Rehome
-// returns, Spawn, LocalRand seeding of children, and wake routing all follow
-// the new shard. Rehoming to the current shard is just a Sleep.
-func (e *Env) Rehome(shard int, delay time.Duration) error {
-	a := e.act
-	if shard < 0 {
-		panic("sim: Rehome to negative shard")
-	}
-	if shard == a.shard {
-		return e.Sleep(delay)
-	}
-	s := e.sim
-	if delay < s.lookahead {
-		panic(fmt.Sprintf("sim: Rehome delay %v below lookahead %v; moving shards is a cross-shard message", delay, s.lookahead))
-	}
-	if w := a.ctxw; w != nil {
-		// In-window: the wake event must not enter this worker's local heap
-		// (it belongs to the new shard); replay homes it through the global
-		// queue, where the delay >= lookahead contract keeps it at or beyond
-		// the window horizon.
-		a.shard = shard
-		a.wake = w.scheduleRemote(w.now+delay, a)
-		return e.block()
-	}
-	a.shard = shard
-	if s.shards[shard] == nil {
-		s.shards[shard] = &shardMeta{}
-	}
-	a.wake = s.schedule(s.now+delay, a, nil)
-	return e.block()
-}
+// Rand returns the simulation's deterministic random source.
+func (e *Env) Rand() *rand.Rand { return e.sim.rng }
 
 // Name returns the activity's name (useful in logs and errors).
 func (e *Env) Name() string { return e.act.name }
 
-// Spawn starts a new activity at the current virtual time. The child
-// inherits the parent's shard, so confined activities naturally stay
-// confined and exclusive activities stay exclusive.
+// Spawn starts a new activity at the current virtual time.
 func (e *Env) Spawn(name string, fn func(env *Env) error) *Env {
-	return e.SpawnOn(e.act.shard, name, fn)
-}
-
-// SpawnOn starts a new activity on the given shard. Confined activities may
-// only spawn onto their own shard; exclusive ones may spawn anywhere.
-func (e *Env) SpawnOn(shard int, name string, fn func(env *Env) error) *Env {
-	if w := e.act.ctxw; w != nil {
-		if shard != e.act.shard {
-			panic("sim: confined activity " + e.act.name + " spawning onto a foreign shard")
-		}
-		return e.sim.spawnOn(w, shard, name, fn)
-	}
-	if e.act.shard != 0 && shard != e.act.shard {
-		panic("sim: confined activity " + e.act.name + " spawning onto a foreign shard")
-	}
-	return e.sim.spawnOn(nil, shard, name, fn)
-}
-
-// Emit delivers a structured trace event to the simulation's trace sink (a
-// no-op without one). Inside a parallel window the event is buffered and
-// flushed at the barrier in committed order, so sinks always observe the
-// serial sequence.
-func (e *Env) Emit(kind, detail string) {
-	if w := e.act.ctxw; w != nil {
-		w.cur.traces = append(w.cur.traces, traceEntry{at: w.now, kind: kind, detail: detail})
-		return
-	}
-	if e.sim.traceSink != nil {
-		e.sim.traceSink(e.sim.now, kind, detail)
-	}
+	return e.sim.Spawn(name, fn)
 }
 
 // block parks the activity until the scheduler resumes it, returning any
@@ -714,15 +421,10 @@ func (e *Env) block() error {
 	return err
 }
 
-// scheduleWake schedules a resume of this activity after d, in the
-// activity's execution context: the global queue when running exclusively,
-// the dispatching worker's local queue inside a parallel window.
+// scheduleWake schedules a resume of this activity after d.
 func (e *Env) scheduleWake(d time.Duration) *event {
 	if d < 0 {
 		d = 0
-	}
-	if w := e.act.ctxw; w != nil {
-		return w.scheduleLocal(w.now+d, e.act)
 	}
 	return e.sim.schedule(e.sim.now+d, e.act, nil)
 }
@@ -754,27 +456,7 @@ func (e *Env) wakeNow(err error) {
 	}
 	a.woken = true
 	e.wakeErr = err
-	s := e.sim
-	if s.inWindow() {
-		// The waker is a confined activity executing inside a window; the
-		// confined contract restricts it to same-shard sync objects, so the
-		// wakee lives on the same shard and the same worker. Waking a
-		// shard-0 activity at the current instant would have to reorder
-		// already-running work — that is exactly what a Mailbox exists for.
-		if a.shard == 0 {
-			panic("sim: wake of an exclusive (shard 0) activity from inside a parallel window; cross-shard signalling must use a Mailbox")
-		}
-		w := s.par.workerFor(a.shard)
-		w.scheduleLocal(w.now, a)
-		return
-	}
-	if cur := s.current; cur != nil && cur.shard != 0 && cur.shard != a.shard {
-		// Serial oracle for the same contract: a confined activity waking a
-		// foreign shard at the current instant would be a same-timestamp
-		// cross-shard interaction, invisible to the lookahead bound.
-		panic("sim: cross-shard wake at the current instant; cross-shard signalling must use a Mailbox")
-	}
-	s.schedule(s.now, a, nil)
+	e.sim.schedule(e.sim.now, a, nil)
 }
 
 // Interrupt poisons the activity that owns e with err: if it is blocked in

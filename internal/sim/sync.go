@@ -235,15 +235,7 @@ func (r *Resource) Acquire(env *Env) error {
 // been woken with an error (interrupted by fault injection, say) cannot take
 // the slot — its Acquire will return that error without claiming anything —
 // so it is skipped, not handed a slot it would leak.
-func (r *Resource) Release() { r.releaseAt(r.sim.now) }
-
-// ReleaseEnv is Release with the caller's execution context: inside a
-// parallel window the global clock is parked at the window's start, so
-// confined activities must release with their own view of time for the
-// busy-time accounting to match the serial kernel exactly.
-func (r *Resource) ReleaseEnv(env *Env) { r.releaseAt(env.Now()) }
-
-func (r *Resource) releaseAt(now time.Duration) {
+func (r *Resource) Release() {
 	if r.inUse == 0 {
 		return
 	}
@@ -258,7 +250,7 @@ func (r *Resource) releaseAt(now time.Duration) {
 	}
 	r.inUse--
 	if r.inUse == 0 {
-		r.busy += now - r.lastStart
+		r.busy += r.sim.now - r.lastStart
 	}
 }
 
@@ -269,7 +261,7 @@ func (r *Resource) Use(env *Env, d time.Duration) error {
 		return err
 	}
 	err := env.Sleep(d)
-	r.releaseAt(env.Now())
+	r.Release()
 	return err
 }
 
