@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet lint test race cover bench bench-baseline bench-wallclock chaos shootout fleet scale experiments examples clean
+.PHONY: all build vet lint test perfbench-test race cover bench bench-baseline bench-wallclock chaos shootout fleet scale experiments examples clean
 
 all: build vet lint test
 
@@ -32,6 +32,13 @@ lint-graph:
 
 test:
 	$(GO) test ./...
+
+# The host-time benchmark harness (perfbench/, see BENCHMARK.json) is a
+# nested module outside ./..., so `make test` never builds it. Vet and
+# test it here so an API change in the simulator that breaks the harness
+# fails CI instead of the next benchmark run.
+perfbench-test:
+	cd perfbench && $(GO) vet ./... && $(GO) test ./...
 
 # The simulator parks goroutines and hands control across channels, so the
 # race detector is the test that the one-activity-at-a-time discipline holds.
@@ -84,7 +91,7 @@ bench-wallclock:
 chaos:
 	SPRITE_CHAOS_SNAPSHOT=$(CURDIR)/RECOVERY_metrics.json \
 		$(GO) test -race -run 'TestCrashStorm|TestCrashAnyHostAtAnyFailpoint|TestGoldenCrashScenarios' -v ./internal/recovery
-	$(GO) run ./cmd/spritesim -experiment E15 -recovery-snapshot RECOVERY_demo.json
+	$(GO) run ./cmd/spritesim -experiment E15 -snapshot RECOVERY_demo.json
 
 # Host-selection churn suite (DESIGN.md §12) under the race detector —
 # reboot storms, flapping, and partitions against all four selector
@@ -95,7 +102,7 @@ chaos:
 shootout:
 	$(GO) test -race -run 'Churn|Gossip|LoadVector|Merge|Decay|VectorBound|EvictionHint|EpochAdvance|NewestHalf|RebootReleases' -v ./internal/hostsel
 	$(GO) test -race -run 'GossipMisplaceGate' ./internal/experiments
-	$(GO) run ./cmd/spritesim -experiment E16 -hostsel-snapshot HOSTSEL_shootout.json
+	$(GO) run ./cmd/spritesim -experiment E16 -snapshot HOSTSEL_shootout.json
 
 # Fleet-management chaos suite (DESIGN.md §13): the drain state machine's
 # transition matrix, the 50-seed eviction-storm fuzz family (drain-safety
@@ -106,13 +113,13 @@ shootout:
 fleet:
 	$(GO) test -race -run 'TestDrainStateMachine|TestManagerDeterministic|TestFleetFuzz|TestFleetScenarioDeterminism|TestFleetKernelEquivalence' -v ./internal/fleet ./internal/fault
 	$(GO) test -race -run 'TestFleetEconomyGate' ./internal/experiments
-	$(GO) run ./cmd/spritesim -experiment E18 -fleet-snapshot FLEET_storms.json
+	$(GO) run ./cmd/spritesim -experiment E18 -snapshot FLEET_storms.json
 
 # The 10,000-host scale tier (nightly CI): E16's combined-churn schedule —
 # reboot storm, flapping hosts, two partitions, competing requesters — at
 # fleet scale. Emits HOSTSEL_10k.json.
 scale:
-	$(GO) run ./cmd/spritesim -experiment E16 -hosts 10000 -hostsel-snapshot HOSTSEL_10k.json
+	$(GO) run ./cmd/spritesim -experiment E16 -hosts 10000 -snapshot HOSTSEL_10k.json
 
 # Regenerate every reproduced table (see EXPERIMENTS.md).
 experiments:

@@ -5,10 +5,9 @@
 //
 //	spritesim -list
 //	spritesim -experiment E5 [-seed 42] [-quick] [-metrics]
-//	spritesim -experiment E15 [-crash ws1@250ms+200ms] [-recovery-snapshot out.json]
-//	spritesim -experiment E16 [-fleet-10k] [-hostsel-snapshot HOSTSEL_shootout.json]
-//	spritesim -experiment E16 -hosts 10000
-//	spritesim -experiment E18 [-quick] [-fleet-snapshot FLEET_storms.json]
+//	spritesim -experiment E15 [-crash ws1@250ms+200ms] [-snapshot RECOVERY_demo.json]
+//	spritesim -experiment E16 [-hosts 10000] [-snapshot HOSTSEL_shootout.json]
+//	spritesim -experiment E18 [-quick] [-snapshot FLEET_storms.json]
 //	spritesim -fleet-storm 5007
 //	spritesim -all [-quick]
 //
@@ -18,13 +17,15 @@
 // -crash schedules a host fault in the recovery experiment (E15):
 // host@at[+dur] crashes the host at `at` and restarts it `dur` later;
 // without +dur the host reboots instantly (state lost, epoch bumped).
-// Repeatable. -recovery-snapshot writes E15's final metrics as JSON.
-//
-// -fleet-10k adds the 10,000-host point to the selector shoot-out (E16);
-// -hostsel-snapshot writes E16's per-selector results as JSON.
+// Repeatable.
 //
 // -hosts overrides the scale-aware experiments' host count: E16 runs its
-// combined-churn schedule at exactly that fleet size (the 10k CI tier).
+// combined-churn schedule at exactly that fleet size (-hosts 10000 is the
+// 10k CI tier).
+//
+// -snapshot writes one experiment's results as JSON: E15's final metrics,
+// E16's per-selector rows, or E18's per-intensity rows. It needs
+// -experiment, since under -all those experiments would overwrite one file.
 package main
 
 import (
@@ -76,11 +77,8 @@ func run(args []string) error {
 		seed       = fs.Int64("seed", 42, "simulation seed")
 		quick      = fs.Bool("quick", false, "smaller parameter sweeps")
 		metrics    = fs.Bool("metrics", false, "append each cluster's metrics snapshot to the tables")
-		recSnap    = fs.String("recovery-snapshot", "", "write the recovery experiment's (E15) metrics snapshot JSON to this file")
-		fleet10k   = fs.Bool("fleet-10k", false, "add the 10,000-host point to the selector shoot-out (E16)")
-		hostSnap   = fs.String("hostsel-snapshot", "", "write the selector shoot-out's (E16) results JSON to this file")
 		hosts      = fs.Int("hosts", 0, "override the scale-aware experiments' host count (E16 fleet size)")
-		fleetSnap  = fs.String("fleet-snapshot", "", "write the fleet economy experiment's (E18) rows JSON to this file")
+		snapshot   = fs.String("snapshot", "", "write the experiment's results JSON to this file (E15 metrics, E16 selector rows, E18 fleet rows; needs -experiment)")
 		fleetStorm = fs.Int64("fleet-storm", 0, "replay one fleet eviction-storm fuzz scenario by seed and print its report")
 	)
 	var crashes crashFlags
@@ -88,11 +86,12 @@ func run(args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
+	if *snapshot != "" && *expID == "" {
+		return fmt.Errorf("-snapshot needs -experiment: under -all, E15, E16 and E18 would overwrite one file")
+	}
 	cfg := experiments.Config{
 		Seed: *seed, Quick: *quick, Metrics: *metrics,
-		Crashes: crashes, RecoverySnapshot: *recSnap,
-		Fleet10k: *fleet10k, HostselSnapshot: *hostSnap,
-		Hosts: *hosts, FleetSnapshot: *fleetSnap,
+		Crashes: crashes, Hosts: *hosts, Snapshot: *snapshot,
 	}
 	switch {
 	case *fleetStorm != 0:

@@ -651,22 +651,6 @@ func (g *Graph) Condense() []SCC {
 	return out
 }
 
-// CalleesIn returns the node's outgoing edges of the given kinds whose
-// targets exist in the graph.
-func (g *Graph) CalleesIn(n *Node, kinds ...EdgeKind) []Edge {
-	want := make(map[EdgeKind]bool, len(kinds))
-	for _, k := range kinds {
-		want[k] = true
-	}
-	var out []Edge
-	for _, e := range n.Out {
-		if want[e.Kind] && g.Nodes[e.Callee] != nil {
-			out = append(out, e)
-		}
-	}
-	return out
-}
-
 // Dump renders the graph as sorted "caller -> callee [kind]" lines plus
 // the root list — the `spritelint -graph` / `make lint-graph` debugging
 // format.

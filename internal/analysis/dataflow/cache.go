@@ -16,7 +16,7 @@ import (
 // cacheVersion invalidates every cached summary when the engine's output
 // format or semantics change. Bump it whenever Summary fields, the models
 // table, or the extraction rules move.
-const cacheVersion = "spritelint-dataflow-v2"
+const cacheVersion = "spritelint-dataflow-v3"
 
 // Cache persists per-package summaries between whole-tree runs. The key
 // is a recursive content digest — the package's own source bytes plus the

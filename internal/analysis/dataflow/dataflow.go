@@ -103,12 +103,6 @@ type Summary struct {
 	// SinkParams: bit i set = param i reaches a determinism-sensitive
 	// sink inside this function or a callee.
 	SinkParams uint64 `json:"sink_params,omitempty"`
-	// MutatesParams: bit i set = param i's pointee is written here or in
-	// a callee it is passed to.
-	MutatesParams uint64 `json:"mutates_params,omitempty"`
-	// MutatesGlobals are package-level variables written, transitively
-	// ("pkgpath.name", sorted, capped).
-	MutatesGlobals []string `json:"mutates_globals,omitempty"`
 	// Emits: the function performs order-sensitive emission (output,
 	// trace, append/send to caller-visible state), directly or via a
 	// callee — calling it once per map-range iteration emits in map
@@ -269,13 +263,6 @@ func Analyze(pkgs []*load.Package, opts Options) *Tree {
 	}
 	return t
 }
-
-// PkgOf returns the package a function belongs to (nil for cached-only
-// or external IDs).
-func (t *Tree) PkgOf(id callgraph.FuncID) *load.Package { return t.pkgOf[id] }
-
-// InTestFile reports whether the function's source lives in a _test.go.
-func (t *Tree) InTestFile(id callgraph.FuncID) bool { return t.testFns[id] }
 
 // SummaryFor resolves a callee's summary: models first (the trusted API
 // surface), then computed/cached summaries. Nil means unknown — callers

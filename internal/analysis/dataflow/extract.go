@@ -4,7 +4,6 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
-	"sort"
 	"strings"
 
 	"sprite/internal/analysis/callgraph"
@@ -12,7 +11,7 @@ import (
 )
 
 // extract computes each node's Summary from the converged taint
-// environment: returns, sinks, mutations, contract facts. Facts are
+// environment: returns, sinks, emission, contract facts. Facts are
 // shallow — each node owns its body minus nested literals, which carry
 // their own — so reachability joins attribute violations to the function
 // that actually runs them.
@@ -23,25 +22,6 @@ func (st *unitState) extract() {
 	for _, n := range st.u.nodes {
 		st.extractNode(n)
 	}
-	for _, s := range st.sums {
-		if len(s.MutatesGlobals) > 0 {
-			s.MutatesGlobals = dedupeSorted(s.MutatesGlobals, 64)
-		}
-	}
-}
-
-func dedupeSorted(in []string, cap_ int) []string {
-	sort.Strings(in)
-	out := in[:0]
-	for i, s := range in {
-		if i == 0 || s != in[i-1] {
-			out = append(out, s)
-		}
-	}
-	if len(out) > cap_ {
-		out = out[:cap_]
-	}
-	return out
 }
 
 // emitMethodNames are the order-sensitive output methods maporder
@@ -74,8 +54,6 @@ func (st *unitState) extractNode(n *callgraph.Node) {
 			}
 		case *ast.AssignStmt:
 			st.extractAssign(n, sum, nd)
-		case *ast.IncDecStmt:
-			st.extractWrite(n, sum, nd.X, false)
 		case *ast.SendStmt:
 			sum.Emits = true
 		case *ast.CallExpr:
@@ -96,15 +74,13 @@ func (st *unitState) markerFold(k Kind, f func(markerOwner)) {
 	}
 }
 
-// extractAssign handles writes: global mutation, param mutation, and
-// order-sensitive emission (append/string-concat into escaping state).
+// extractAssign records order-sensitive emission: append or string
+// concatenation into escaping state.
 func (st *unitState) extractAssign(n *callgraph.Node, sum *Summary, a *ast.AssignStmt) {
 	if a.Tok == token.DEFINE {
 		return
 	}
 	for i, lhs := range a.Lhs {
-		compound := !isIdent(lhs)
-		st.extractWrite(n, sum, lhs, compound)
 		// Emission: x = append(x, ...) or s += ... into escaping state.
 		if i < len(a.Rhs) {
 			rhs := a.Rhs[i]
@@ -124,11 +100,6 @@ func (st *unitState) extractAssign(n *callgraph.Node, sum *Summary, a *ast.Assig
 	}
 }
 
-func isIdent(e ast.Expr) bool {
-	_, ok := ast.Unparen(e).(*ast.Ident)
-	return ok
-}
-
 func isStringType(info *types.Info, e ast.Expr) bool {
 	tv, ok := info.Types[e]
 	if !ok || tv.Type == nil {
@@ -138,36 +109,9 @@ func isStringType(info *types.Info, e ast.Expr) bool {
 	return ok && b.Kind() == types.String
 }
 
-// extractWrite classifies one lvalue write. Plain-ident writes to locals
-// and params rebind a copy and are ignored; compound writes through a
-// reference-like base escape to whoever shares the base.
-func (st *unitState) extractWrite(n *callgraph.Node, sum *Summary, lhs ast.Expr, compound bool) {
-	obj := baseObj(st.info(), lhs)
-	if obj == nil {
-		return
-	}
-	if isGlobalVar(obj) {
-		sum.MutatesGlobals = append(sum.MutatesGlobals, globalName(obj))
-		return
-	}
-	if !compound && isIdent(lhs) {
-		return // rebinding a local name
-	}
-	if owner, idx, ok := st.paramOf(obj); ok && refLike(obj.Type()) {
-		if s := st.sums[owner]; s != nil {
-			s.MutatesParams |= 1 << idx
-		}
-		_ = n
-	}
-}
-
 func isGlobalVar(obj types.Object) bool {
 	v, ok := obj.(*types.Var)
 	return ok && v.Pkg() != nil && v.Parent() == v.Pkg().Scope()
-}
-
-func globalName(obj types.Object) string {
-	return obj.Pkg().Path() + "." + obj.Name()
 }
 
 // paramOf finds which unit node owns obj as a parameter, and its index.
@@ -239,7 +183,7 @@ func (st *unitState) extractCall(n *callgraph.Node, sum *Summary, call *ast.Call
 		}
 	}
 
-	// Resolved callees: sinks, mutation, emission via summaries.
+	// Resolved callees: sinks and emission via summaries.
 	args := effectiveArgs(info, call)
 	for _, id := range st.t.Graph.ResolveFuncExpr(st.pkg, call.Fun) {
 		s := st.t.SummaryFor(id)
@@ -254,27 +198,6 @@ func (st *unitState) extractCall(n *callgraph.Node, sum *Summary, call *ast.Call
 				sink = shortID(id)
 			}
 			st.sinkArgsAt(n, sum, call, args, s.SinkParams, sink)
-		}
-		if s.MutatesParams != 0 {
-			for i := 0; i < len(args) && i < 64; i++ {
-				if s.MutatesParams&(1<<i) == 0 {
-					continue
-				}
-				obj := baseObj(info, args[i])
-				if obj == nil {
-					continue
-				}
-				if isGlobalVar(obj) {
-					sum.MutatesGlobals = append(sum.MutatesGlobals, globalName(obj))
-				} else if owner, idx, ok := st.paramOf(obj); ok && refLike(obj.Type()) {
-					if os := st.sums[owner]; os != nil {
-						os.MutatesParams |= 1 << idx
-					}
-				}
-			}
-		}
-		if len(s.MutatesGlobals) > 0 {
-			sum.MutatesGlobals = append(sum.MutatesGlobals, s.MutatesGlobals...)
 		}
 		if s.Emits {
 			sum.Emits = true

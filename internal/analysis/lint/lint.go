@@ -71,16 +71,6 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 	})
 }
 
-// FileFor returns the *ast.File containing pos, or nil.
-func (p *Pass) FileFor(pos token.Pos) *ast.File {
-	for _, f := range p.Files {
-		if f.FileStart <= pos && pos <= f.FileEnd {
-			return f
-		}
-	}
-	return nil
-}
-
 // Filename returns the base name of the file containing pos.
 func (p *Pass) Filename(pos token.Pos) string {
 	return p.Fset.Position(pos).Filename

@@ -133,12 +133,10 @@ func NewCluster(opts Options) (*Cluster, error) {
 		params = *opts.Params
 	}
 	s := sim.New(opts.Seed)
-	net := netsim.New(s, params.Net)
-	transport := rpc.NewTransport(s, net, params.RPC)
-	fsys := fs.New(s, transport, params.FS)
 	reg := metrics.New()
-	transport.SetMetrics(reg)
-	fsys.SetMetrics(reg)
+	net := netsim.New(s, params.Net)
+	transport := rpc.NewTransport(s, net, params.RPC, reg)
+	fsys := fs.New(s, transport, params.FS, reg)
 
 	c := &Cluster{
 		sim:           s,

@@ -63,9 +63,6 @@ func (c *Cluster) noteEnd(pid PID) {
 // detection, not by magic.
 func (c *Cluster) SetDeferredReap(on bool) { c.deferReap = on }
 
-// DeferredReap reports whether deferred reaping is enabled.
-func (c *Cluster) DeferredReap() bool { return c.deferReap }
-
 // HostEpoch returns the host's current boot epoch (1 until its first
 // restart).
 func (c *Cluster) HostEpoch(host rpc.HostID) rpc.Epoch {

@@ -28,23 +28,16 @@ type Config struct {
 	// Crashes overrides the recovery experiment's (E15) default fault
 	// schedule; parsed from repeated spritesim -crash flags.
 	Crashes []recovery.CrashSpec
-	// RecoverySnapshot, when non-empty, makes E15 write its final metrics
-	// snapshot to this file as JSON.
-	RecoverySnapshot string
-	// Fleet10k opts the selector shoot-out (E16) into the 10,000-host
-	// point, which is far slower than the standard 100/1,000 sweep.
-	Fleet10k bool
-	// HostselSnapshot, when non-empty, makes E16 write its per-selector
-	// results to this file as JSON.
-	HostselSnapshot string
 	// Hosts overrides the primary scale knob of the scale-aware
 	// experiments: E16's fleet size (replacing the standard sweep). Zero
 	// keeps each experiment's default.
 	Hosts int
-	// FleetSnapshot, when non-empty, makes the fleet economy experiment
-	// (E18) write its per-intensity rows to this file as JSON (the
+	// Snapshot, when non-empty, names the file an experiment writes its
+	// machine-readable results to as JSON: E15 its final metrics snapshot,
+	// E16 its per-selector rows, E18 its per-intensity rows (the
 	// FLEET_storms.json CI artifact; bench/BENCH_fleet.json gates it).
-	FleetSnapshot string
+	// Other experiments ignore it.
+	Snapshot string
 }
 
 // Table is one reproduced table or figure, as labeled rows.

@@ -40,7 +40,7 @@ var e18Intensities = []e18Storm{
 }
 
 // e18Row is one (intensity, fleet size) measurement, also the JSON shape
-// written to Config.FleetSnapshot and gated by bench/BENCH_fleet.json.
+// written to Config.Snapshot and gated by bench/BENCH_fleet.json.
 type e18Row struct {
 	Intensity       string  `json:"intensity"`
 	Hosts           int     `json:"hosts"`
@@ -346,15 +346,15 @@ func E18FleetEconomy(cfg Config) (*Table, error) {
 		}
 	}
 	t.AddNote("every host comes back in this schedule, so goodput stays 1.00 at every intensity: storms cost job latency (checkpoint relaunches, migrations), never jobs")
-	if cfg.FleetSnapshot != "" {
+	if cfg.Snapshot != "" {
 		data, err := json.MarshalIndent(rows, "", "  ")
 		if err != nil {
 			return nil, err
 		}
-		if err := os.WriteFile(cfg.FleetSnapshot, data, 0o644); err != nil {
+		if err := os.WriteFile(cfg.Snapshot, data, 0o644); err != nil {
 			return nil, err
 		}
-		t.AddNote("fleet economy results written to %s", cfg.FleetSnapshot)
+		t.AddNote("fleet economy results written to %s", cfg.Snapshot)
 	}
 	return t, nil
 }

@@ -40,7 +40,7 @@ func TestFleetEconomyGate(t *testing.T) {
 	}
 
 	snap := filepath.Join(t.TempDir(), "FLEET_gate.json")
-	cfg := Config{Seed: base.Seed, Quick: base.Quick, FleetSnapshot: snap}
+	cfg := Config{Seed: base.Seed, Quick: base.Quick, Snapshot: snap}
 	if _, err := E18FleetEconomy(cfg); err != nil {
 		t.Fatal(err)
 	}

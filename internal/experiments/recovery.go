@@ -15,7 +15,7 @@ import (
 // deferred-reap cluster, a liveness monitor, and three supervised jobs whose
 // host dies mid-run — and reports what the recovery plane observed. The
 // fault schedule is overridable from the CLI (-crash host@t[+dur]), and
-// -recovery-snapshot dumps the full metrics snapshot as JSON for dashboards
+// -snapshot dumps the full metrics snapshot as JSON for dashboards
 // and the CI chaos artifact.
 func E15CrashRecovery(cfg Config) (*Table, error) {
 	res, err := recovery.RunDemoWith(cfg.Seed, cfg.Crashes)
@@ -53,15 +53,15 @@ func E15CrashRecovery(cfg Config) (*Table, error) {
 		t.AddNote("INVARIANT VIOLATIONS: %s", strings.Join(res.Violations, "; "))
 	}
 	t.CaptureSnapshot(cfg, "demo", res.Snapshot)
-	if cfg.RecoverySnapshot != "" {
+	if cfg.Snapshot != "" {
 		data, err := res.Snapshot.JSON()
 		if err != nil {
 			return nil, err
 		}
-		if err := os.WriteFile(cfg.RecoverySnapshot, data, 0o644); err != nil {
+		if err := os.WriteFile(cfg.Snapshot, data, 0o644); err != nil {
 			return nil, fmt.Errorf("write recovery snapshot: %w", err)
 		}
-		t.AddNote("metrics snapshot written to %s", cfg.RecoverySnapshot)
+		t.AddNote("metrics snapshot written to %s", cfg.Snapshot)
 	}
 	return t, nil
 }

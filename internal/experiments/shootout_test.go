@@ -38,7 +38,7 @@ func TestGossipMisplaceGate(t *testing.T) {
 	}
 
 	snap := filepath.Join(t.TempDir(), "HOSTSEL_gate.json")
-	cfg := Config{Seed: base.Seed, Quick: base.Quick, HostselSnapshot: snap}
+	cfg := Config{Seed: base.Seed, Quick: base.Quick, Snapshot: snap}
 	if _, err := E16SelectorShootout(cfg); err != nil {
 		t.Fatal(err)
 	}

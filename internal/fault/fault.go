@@ -1,6 +1,6 @@
 // Package fault is the deterministic fault-injection plane for the simulated
-// Sprite cluster: host crashes and restarts, message drops, delays and
-// duplication, network partitions, and named mid-migration failure points.
+// Sprite cluster: host crashes and restarts, message drops and delays,
+// network partitions, and named mid-migration failure points.
 //
 // All injection decisions are pure functions of the installed schedule and a
 // private random stream seeded at construction, so a faulty run is replayable
@@ -27,8 +27,7 @@ var ErrInjected = errors.New("fault: injected migration failure")
 type msgRule struct {
 	from, until time.Duration
 	prob        float64
-	delay       time.Duration // 0 for drop rules
-	dup         bool
+	delay       time.Duration       // 0 for drop rules
 	hosts       map[rpc.HostID]bool // nil matches all traffic
 }
 
@@ -124,12 +123,6 @@ func (p *Plane) DelayMessages(from, until time.Duration, d time.Duration, prob f
 	p.delays = append(p.delays, &msgRule{from: from, until: until, prob: prob, delay: d, hosts: hostSet(hosts)})
 }
 
-// DuplicateMessages re-sends each matching request with probability prob
-// during [from, until); the server's transaction check discards the copy.
-func (p *Plane) DuplicateMessages(from, until time.Duration, prob float64, hosts ...rpc.HostID) {
-	p.drops = append(p.drops, &msgRule{from: from, until: until, prob: prob, dup: true, hosts: hostSet(hosts)})
-}
-
 // Partition cuts group off from every other host during [from, until):
 // messages crossing the cut are dropped deterministically. Hosts inside the
 // group still talk to each other.
@@ -214,12 +207,9 @@ func (p *Plane) Intercept(env *sim.Env, from, to rpc.HostID, service string, att
 		if !r.matches(now, from, to) || p.rng.Float64() >= r.prob {
 			continue
 		}
-		switch {
-		case r.dup:
-			v.Duplicate = true
-		case p.rng.Intn(2) == 0:
+		if p.rng.Intn(2) == 0 {
 			v.DropRequest = true
-		default:
+		} else {
 			v.DropReply = true
 		}
 		p.injected++

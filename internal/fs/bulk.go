@@ -49,10 +49,7 @@ func (c *Client) WriteAtBatch(env *sim.Env, st *Stream, runs []PageRun, maxRunBy
 			}
 			bs.Add(one)
 		}
-		c.stats.BytesWritten += uint64(len(ext.Data))
-		if m := c.fs.m; m != nil {
-			m.bytesWritten.Add(int64(len(ext.Data)))
-		}
+		c.fs.m.bytesWritten.Add(int64(len(ext.Data)))
 	}
 	return bs, nil
 }
@@ -102,10 +99,7 @@ func (c *Client) ReadAtBulk(env *sim.Env, st *Stream, off int64, n int) ([]byte,
 		if err != nil {
 			return nil, bs, err
 		}
-		c.stats.BytesRead += uint64(len(data))
-		if m := c.fs.m; m != nil {
-			m.bytesRead.Add(int64(len(data)))
-		}
+		c.fs.m.bytesRead.Add(int64(len(data)))
 		return data, bs, nil
 	}
 	reply, bs, err := c.ep.CallBulk(env, st.FID.Server, "fs.readBulk", readBulkArgs{
@@ -120,10 +114,7 @@ func (c *Client) ReadAtBulk(env *sim.Env, st *Stream, off int64, n int) ([]byte,
 	}
 	out := make([]byte, avail)
 	copy(out, r.Data)
-	c.stats.BytesRead += uint64(len(out))
-	if m := c.fs.m; m != nil {
-		m.bytesRead.Add(int64(len(out)))
-	}
+	c.fs.m.bytesRead.Add(int64(len(out)))
 	return out, bs, nil
 }
 

@@ -11,17 +11,6 @@ import (
 	"sprite/internal/sim"
 )
 
-// ClientStats summarizes one host's cache behaviour.
-type ClientStats struct {
-	Hits          uint64
-	Misses        uint64
-	BytesRead     uint64
-	BytesWritten  uint64
-	BlockFlushes  uint64
-	Recalls       uint64 // consistency callbacks served (flush or disable)
-	PrefixQueries uint64 // prefix-table broadcasts to discover a domain
-}
-
 type cacheKey struct {
 	fid   FileID
 	block int
@@ -58,8 +47,6 @@ type Client struct {
 	// Without the retry the server's open entry leaks until an epoch
 	// scrub, and a host that never reboots never gets scrubbed.
 	pendingCloses []pendingClose
-
-	stats ClientStats
 }
 
 // pendingClose is one queued close retry, tagged with the client's boot
@@ -91,9 +78,6 @@ func newClient(f *FS, host rpc.HostID) *Client {
 
 // Host returns the client's host id.
 func (c *Client) Host() rpc.HostID { return c.host }
-
-// Stats returns a copy of the cache statistics.
-func (c *Client) Stats() ClientStats { return c.stats }
 
 // DirtyBlocks returns the number of dirty blocks held in the cache.
 func (c *Client) DirtyBlocks() int {
@@ -142,10 +126,7 @@ func (c *Client) lookupServer(env *sim.Env, path string) (rpc.HostID, error) {
 	if err := c.fs.transport.Network().Send(env, 32); err != nil {
 		return rpc.NoHost, err
 	}
-	c.stats.PrefixQueries++
-	if m := c.fs.m; m != nil {
-		m.prefixQueries.Inc()
-	}
+	c.fs.m.prefixQueries.Inc()
 	prefix := c.fs.ns.prefixFor(path)
 	c.prefixCache.AddPrefix(prefix, host)
 	return host, nil
@@ -328,10 +309,7 @@ func (c *Client) Read(env *sim.Env, st *Stream, n int) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	c.stats.BytesRead += uint64(len(data))
-	if m := c.fs.m; m != nil {
-		m.bytesRead.Add(int64(len(data)))
-	}
+	c.fs.m.bytesRead.Add(int64(len(data)))
 	return data, nil
 }
 
@@ -353,10 +331,7 @@ func (c *Client) ReadAt(env *sim.Env, st *Stream, off int64, n int) ([]byte, err
 	if err != nil {
 		return nil, err
 	}
-	c.stats.BytesRead += uint64(len(data))
-	if m := c.fs.m; m != nil {
-		m.bytesRead.Add(int64(len(data)))
-	}
+	c.fs.m.bytesRead.Add(int64(len(data)))
 	return data, nil
 }
 
@@ -378,10 +353,7 @@ func (c *Client) Write(env *sim.Env, st *Stream, data []byte) (int, error) {
 	if err := c.writeRange(env, st, off, data); err != nil {
 		return 0, err
 	}
-	c.stats.BytesWritten += uint64(len(data))
-	if m := c.fs.m; m != nil {
-		m.bytesWritten.Add(int64(len(data)))
-	}
+	c.fs.m.bytesWritten.Add(int64(len(data)))
 	return len(data), nil
 }
 
@@ -394,10 +366,7 @@ func (c *Client) WriteAt(env *sim.Env, st *Stream, off int64, data []byte) error
 	if err := c.writeRange(env, st, off, data); err != nil {
 		return err
 	}
-	c.stats.BytesWritten += uint64(len(data))
-	if m := c.fs.m; m != nil {
-		m.bytesWritten.Add(int64(len(data)))
-	}
+	c.fs.m.bytesWritten.Add(int64(len(data)))
 	return nil
 }
 
@@ -497,17 +466,11 @@ func (c *Client) readBlock(env *sim.Env, st *Stream, block int) ([]byte, error) 
 	key := cacheKey{fid: st.FID, block: block}
 	if c.cacheEnabled(st) {
 		if b, ok := c.blocks[key]; ok {
-			c.stats.Hits++
-			if m := c.fs.m; m != nil {
-				m.hits.Inc()
-			}
+			c.fs.m.hits.Inc()
 			c.lru.MoveToFront(b.elem)
 			return b.data, nil
 		}
-		c.stats.Misses++
-		if m := c.fs.m; m != nil {
-			m.misses.Inc()
-		}
+		c.fs.m.misses.Inc()
 	}
 	reply, err := c.ep.Call(env, st.FID.Server, "fs.read", readArgs{FID: st.FID, Block: block}, 32)
 	if err != nil {
@@ -677,10 +640,7 @@ func (c *Client) flushBlock(env *sim.Env, b *cacheBlock) error {
 		return fmt.Errorf("flush block: %w", err)
 	}
 	b.dirty = false
-	c.stats.BlockFlushes++
-	if m := c.fs.m; m != nil {
-		m.flushes.Inc()
-	}
+	c.fs.m.flushes.Inc()
 	if r, ok := reply.(writeReply); ok {
 		c.fileVer[b.key.fid] = r.Version
 	}
@@ -696,28 +656,6 @@ func (c *Client) FlushFile(env *sim.Env, fid FileID) error {
 		}
 	}
 	sort.Slice(dirty, func(i, j int) bool { return dirty[i].key.block < dirty[j].key.block })
-	for _, b := range dirty {
-		if err := c.flushBlock(env, b); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// SyncAll writes back every dirty block in the cache.
-func (c *Client) SyncAll(env *sim.Env) error {
-	var dirty []*cacheBlock
-	for _, b := range c.blocks {
-		if b.dirty {
-			dirty = append(dirty, b)
-		}
-	}
-	sort.Slice(dirty, func(i, j int) bool {
-		if dirty[i].key.fid != dirty[j].key.fid {
-			return dirty[i].key.fid.Ino < dirty[j].key.fid.Ino
-		}
-		return dirty[i].key.block < dirty[j].key.block
-	})
 	for _, b := range dirty {
 		if err := c.flushBlock(env, b); err != nil {
 			return err
@@ -757,10 +695,7 @@ func (c *Client) handleFlushCallback(env *sim.Env, from rpc.HostID, arg any) (an
 	if !ok {
 		return nil, 0, fmt.Errorf("fsc.flush: bad args %T", arg)
 	}
-	c.stats.Recalls++
-	if m := c.fs.m; m != nil {
-		m.recalls.Inc()
-	}
+	c.fs.m.recalls.Inc()
 	if err := c.FlushFile(env, a.FID); err != nil {
 		return nil, 0, err
 	}
@@ -774,10 +709,7 @@ func (c *Client) handleDisableCallback(env *sim.Env, from rpc.HostID, arg any) (
 	if !ok {
 		return nil, 0, fmt.Errorf("fsc.disable: bad args %T", arg)
 	}
-	c.stats.Recalls++
-	if m := c.fs.m; m != nil {
-		m.recalls.Inc()
-	}
+	c.fs.m.recalls.Inc()
 	if err := c.FlushFile(env, a.FID); err != nil {
 		return nil, 0, err
 	}
@@ -949,9 +881,7 @@ func (c *Client) MoveStream(env *sim.Env, st *Stream, to rpc.HostID) error {
 			st.owners[c.host]++
 			return err
 		}
-		if m := c.fs.m; m != nil {
-			m.pipeMoves.Inc()
-		}
+		c.fs.m.pipeMoves.Inc()
 		return nil
 	}
 	if err := c.FlushFile(env, st.FID); err != nil {
@@ -999,9 +929,7 @@ func (c *Client) MoveStream(env *sim.Env, st *Stream, to rpc.HostID) error {
 	if share {
 		st.shared = true
 	}
-	if m := c.fs.m; m != nil {
-		m.streamMoves.Inc()
-	}
+	c.fs.m.streamMoves.Inc()
 	return nil
 }
 

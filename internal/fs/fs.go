@@ -141,9 +141,9 @@ type FS struct {
 	// when both the crash injector and a later reaping pass request it.
 	scrubbed map[rpc.HostID]rpc.Epoch
 
-	// m holds the optional metrics plane's cached counters, shared by every
-	// client so cluster-wide cache behaviour reads as one set of series.
-	m *fsCounters
+	// m holds the metrics plane's cached counters, shared by every client
+	// so cluster-wide cache behaviour reads as one set of series.
+	m fsCounters
 }
 
 // fsCounters caches the fabric-wide instrument pointers.
@@ -154,30 +154,11 @@ type fsCounters struct {
 	streamMoves, pipeMoves         *metrics.Counter
 }
 
-// SetMetrics installs (or with nil removes) the registry receiving the
-// fabric's cache and stream-forwarding counters: fs.cache.{hits,misses,
-// flushes,recalls}, fs.bytes.{read,written}, fs.prefix.queries, and
+// New returns an empty file system fabric. Its cache and stream-forwarding
+// counters go to reg: fs.cache.{hits,misses,flushes,recalls},
+// fs.bytes.{read,written}, fs.prefix.queries, and
 // fs.stream.{moves,pipe_moves}.
-func (f *FS) SetMetrics(reg *metrics.Registry) {
-	if reg == nil {
-		f.m = nil
-		return
-	}
-	f.m = &fsCounters{
-		hits:          reg.Counter("fs.cache.hits"),
-		misses:        reg.Counter("fs.cache.misses"),
-		flushes:       reg.Counter("fs.cache.flushes"),
-		recalls:       reg.Counter("fs.cache.recalls"),
-		bytesRead:     reg.Counter("fs.bytes.read"),
-		bytesWritten:  reg.Counter("fs.bytes.written"),
-		prefixQueries: reg.Counter("fs.prefix.queries"),
-		streamMoves:   reg.Counter("fs.stream.moves"),
-		pipeMoves:     reg.Counter("fs.stream.pipe_moves"),
-	}
-}
-
-// New returns an empty file system fabric.
-func New(s *sim.Simulation, transport *rpc.Transport, params Params) *FS {
+func New(s *sim.Simulation, transport *rpc.Transport, params Params, reg *metrics.Registry) *FS {
 	if params.BlockSize <= 0 {
 		params.BlockSize = 4096
 	}
@@ -188,6 +169,17 @@ func New(s *sim.Simulation, transport *rpc.Transport, params Params) *FS {
 		ns:        NewNamespace(),
 		servers:   make(map[rpc.HostID]*Server),
 		clients:   make(map[rpc.HostID]*Client),
+		m: fsCounters{
+			hits:          reg.Counter("fs.cache.hits"),
+			misses:        reg.Counter("fs.cache.misses"),
+			flushes:       reg.Counter("fs.cache.flushes"),
+			recalls:       reg.Counter("fs.cache.recalls"),
+			bytesRead:     reg.Counter("fs.bytes.read"),
+			bytesWritten:  reg.Counter("fs.bytes.written"),
+			prefixQueries: reg.Counter("fs.prefix.queries"),
+			streamMoves:   reg.Counter("fs.stream.moves"),
+			pipeMoves:     reg.Counter("fs.stream.pipe_moves"),
+		},
 	}
 }
 
@@ -256,12 +248,4 @@ func (f *FS) SeedSized(path string, size int, neverCache bool) (FileID, error) {
 func (f *FS) nextStreamID() StreamID {
 	f.streamSeq++
 	return f.streamSeq
-}
-
-// blockCount returns the number of blocks covering n bytes.
-func (f *FS) blockCount(n int) int {
-	if n <= 0 {
-		return 0
-	}
-	return (n + f.params.BlockSize - 1) / f.params.BlockSize
 }

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"sprite/internal/metrics"
 	"sprite/internal/netsim"
 	"sprite/internal/rpc"
 	"sprite/internal/sim"
@@ -15,6 +16,7 @@ import (
 // hosts 2..(1+clients).
 type harness struct {
 	sim *sim.Simulation
+	reg *metrics.Registry
 	fs  *FS
 	srv *Server
 }
@@ -23,13 +25,14 @@ func newHarness(t *testing.T, clients int) *harness {
 	t.Helper()
 	s := sim.New(1)
 	net := netsim.New(s, netsim.Params{Latency: 500 * time.Microsecond, BandwidthBytesPerSec: 1e6})
-	tr := rpc.NewTransport(s, net, rpc.Params{ClientOverhead: time.Millisecond})
-	f := New(s, tr, DefaultParams())
+	reg := metrics.New()
+	tr := rpc.NewTransport(s, net, rpc.Params{ClientOverhead: time.Millisecond}, reg)
+	f := New(s, tr, DefaultParams(), reg)
 	srv := f.AddServer(1, "/")
 	for i := 0; i < clients; i++ {
 		f.AddClient(rpc.HostID(2 + i))
 	}
-	return &harness{sim: s, fs: f, srv: srv}
+	return &harness{sim: s, reg: reg, fs: f, srv: srv}
 }
 
 func (h *harness) run(t *testing.T, fn func(env *sim.Env) error) {
@@ -152,12 +155,13 @@ func TestCacheHitsOnRepeatedReads(t *testing.T) {
 		}
 		return nil
 	})
-	st := c.Stats()
-	if st.Misses == 0 || st.Hits == 0 {
-		t.Fatalf("stats = %+v, want both hits and misses", st)
+	hits := h.reg.Counter("fs.cache.hits").Value()
+	misses := h.reg.Counter("fs.cache.misses").Value()
+	if misses == 0 || hits == 0 {
+		t.Fatalf("hits = %d, misses = %d, want both", hits, misses)
 	}
-	if st.Hits < 2*st.Misses {
-		t.Fatalf("stats = %+v, want hits ~2x misses for 3 reads", st)
+	if hits < 2*misses {
+		t.Fatalf("hits = %d, misses = %d, want hits ~2x misses for 3 reads", hits, misses)
 	}
 }
 
@@ -399,8 +403,9 @@ func TestSharedOffsetAfterForkAndMigrate(t *testing.T) {
 func TestPrefixTableRoutesToServers(t *testing.T) {
 	s := sim.New(1)
 	net := netsim.New(s, netsim.DefaultParams())
-	tr := rpc.NewTransport(s, net, rpc.DefaultParams())
-	f := New(s, tr, DefaultParams())
+	reg := metrics.New()
+	tr := rpc.NewTransport(s, net, rpc.DefaultParams(), reg)
+	f := New(s, tr, DefaultParams(), reg)
 	f.AddServer(1, "/")
 	f.AddServer(2, "/b")
 	c := f.AddClient(3)
@@ -526,10 +531,11 @@ func TestTruncateInvalidatesOtherCaches(t *testing.T) {
 func TestCacheEvictionWritesBackDirty(t *testing.T) {
 	s := sim.New(1)
 	net := netsim.New(s, netsim.DefaultParams())
-	tr := rpc.NewTransport(s, net, rpc.DefaultParams())
+	reg := metrics.New()
+	tr := rpc.NewTransport(s, net, rpc.DefaultParams(), reg)
 	params := DefaultParams()
 	params.ClientCacheBlocks = 4
-	f := New(s, tr, params)
+	f := New(s, tr, params, reg)
 	srv := f.AddServer(1, "/")
 	c := f.AddClient(2)
 	s.Spawn("t", func(env *sim.Env) error {

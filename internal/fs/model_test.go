@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"sprite/internal/metrics"
 	"sprite/internal/netsim"
 	"sprite/internal/rpc"
 	"sprite/internal/sim"
@@ -69,10 +70,11 @@ func runModelTest(t *testing.T, seed int64, nClients, ops int) {
 	t.Helper()
 	s := sim.New(seed)
 	net := netsim.New(s, netsim.DefaultParams())
-	tr := rpc.NewTransport(s, net, rpc.DefaultParams())
+	reg := metrics.New()
+	tr := rpc.NewTransport(s, net, rpc.DefaultParams(), reg)
 	params := DefaultParams()
 	params.ClientCacheBlocks = 8 // small cache: force evictions
-	f := New(s, tr, params)
+	f := New(s, tr, params, reg)
 	f.AddServer(1, "/")
 	clients := make([]*Client, nClients)
 	for i := range clients {

@@ -74,12 +74,3 @@ func (n *Namespace) prefixFor(path string) string {
 	}
 	return ""
 }
-
-// Domains returns the registered prefixes, longest first.
-func (n *Namespace) Domains() []string {
-	out := make([]string, len(n.prefixes))
-	for i, e := range n.prefixes {
-		out[i] = e.prefix
-	}
-	return out
-}

@@ -261,10 +261,7 @@ func (c *Client) pipeRead(env *sim.Env, st *Stream, n int) ([]byte, error) {
 	if !ok {
 		return nil, fmt.Errorf("fs.pipeRead: bad reply %T", reply)
 	}
-	c.stats.BytesRead += uint64(len(r.Data))
-	if m := c.fs.m; m != nil {
-		m.bytesRead.Add(int64(len(r.Data)))
-	}
+	c.fs.m.bytesRead.Add(int64(len(r.Data)))
 	return r.Data, nil
 }
 
@@ -279,10 +276,7 @@ func (c *Client) pipeWrite(env *sim.Env, st *Stream, data []byte) (int, error) {
 	if !ok {
 		return 0, fmt.Errorf("fs.pipeWrite: bad reply %T", reply)
 	}
-	c.stats.BytesWritten += uint64(r.Size)
-	if m := c.fs.m; m != nil {
-		m.bytesWritten.Add(int64(r.Size))
-	}
+	c.fs.m.bytesWritten.Add(int64(r.Size))
 	return r.Size, nil
 }
 

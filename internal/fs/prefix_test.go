@@ -4,6 +4,7 @@ import (
 	"testing"
 	"time"
 
+	"sprite/internal/metrics"
 	"sprite/internal/sim"
 )
 
@@ -11,8 +12,9 @@ import (
 // domain pays the prefix broadcast; subsequent opens hit the cached table.
 func TestPrefixBroadcastChargedOncePerDomain(t *testing.T) {
 	s := sim.New(1)
-	tr := rpcFabric(s)
-	f := New(s, tr, DefaultParams())
+	reg := metrics.New()
+	f := New(s, rpcFabric(s, reg), DefaultParams(), reg)
+	queries := reg.Counter("fs.prefix.queries")
 	f.AddServer(1, "/")
 	f.AddServer(4, "/b")
 	c := f.AddClient(3)
@@ -28,20 +30,20 @@ func TestPrefixBroadcastChargedOncePerDomain(t *testing.T) {
 				return err
 			}
 		}
-		if got := c.Stats().PrefixQueries; got != 1 {
+		if got := queries.Value(); got != 1 {
 			t.Errorf("prefix queries after repeated root opens = %d, want 1", got)
 		}
 		// First touch of the /b domain pays another broadcast.
 		if _, err := c.ReadFile(env, "/b/x"); err != nil {
 			return err
 		}
-		if got := c.Stats().PrefixQueries; got != 2 {
+		if got := queries.Value(); got != 2 {
 			t.Errorf("prefix queries after /b open = %d, want 2", got)
 		}
 		if _, err := c.ReadFile(env, "/b/x"); err != nil {
 			return err
 		}
-		if got := c.Stats().PrefixQueries; got != 2 {
+		if got := queries.Value(); got != 2 {
 			t.Errorf("prefix queries after cached /b open = %d, want 2", got)
 		}
 		return nil
@@ -55,8 +57,8 @@ func TestPrefixBroadcastChargedOncePerDomain(t *testing.T) {
 // the first open only.
 func TestPrefixMissCostsTime(t *testing.T) {
 	s := sim.New(1)
-	tr := rpcFabric(s)
-	f := New(s, tr, DefaultParams())
+	reg := metrics.New()
+	f := New(s, rpcFabric(s, reg), DefaultParams(), reg)
 	f.AddServer(1, "/")
 	c := f.AddClient(2)
 	if _, err := f.Seed("/f", make([]byte, 64), false); err != nil {

@@ -4,14 +4,16 @@ import (
 	"errors"
 	"testing"
 
+	"sprite/internal/metrics"
 	"sprite/internal/netsim"
 	"sprite/internal/rpc"
 	"sprite/internal/sim"
 )
 
-// rpcFabric builds a default transport for multi-server tests.
-func rpcFabric(s *sim.Simulation) *rpc.Transport {
-	return rpc.NewTransport(s, netsim.New(s, netsim.DefaultParams()), rpc.DefaultParams())
+// rpcFabric builds a default transport for multi-server tests, counting
+// into reg.
+func rpcFabric(s *sim.Simulation, reg *metrics.Registry) *rpc.Transport {
+	return rpc.NewTransport(s, netsim.New(s, netsim.DefaultParams()), rpc.DefaultParams(), reg)
 }
 
 func TestRenamePreservesContentAndStreams(t *testing.T) {
@@ -80,8 +82,8 @@ func TestRenameReplacesTarget(t *testing.T) {
 
 func TestRenameCrossDomainFails(t *testing.T) {
 	s := sim.New(1)
-	tr := rpcFabric(s)
-	f := New(s, tr, DefaultParams())
+	reg := metrics.New()
+	f := New(s, rpcFabric(s, reg), DefaultParams(), reg)
 	f.AddServer(1, "/")
 	f.AddServer(4, "/b")
 	c := f.AddClient(3)

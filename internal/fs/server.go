@@ -244,9 +244,6 @@ func (s *Server) Stats() ServerStats { return s.stats }
 // CPUBusy returns total server CPU busy time (the pmake bottleneck metric).
 func (s *Server) CPUBusy() time.Duration { return s.cpu.BusyTime() }
 
-// CPUWait returns cumulative time requests queued for the server CPU.
-func (s *Server) CPUWait() time.Duration { return s.cpu.WaitTime() }
-
 // FileCount returns the number of files in the server's domain.
 func (s *Server) FileCount() int { return len(s.files) }
 

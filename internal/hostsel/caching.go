@@ -48,9 +48,6 @@ func (c *Caching) Name() string { return c.inner.Name() + "+cache" }
 // up as Requests minus the inner selector's Requests).
 func (c *Caching) Stats() Stats { return c.stats }
 
-// InnerStats exposes the wrapped selector's counters.
-func (c *Caching) InnerStats() Stats { return c.inner.Stats() }
-
 // NotifyAvailability implements Selector: transitions invalidate cached
 // grants for that host everywhere, then pass through.
 func (c *Caching) NotifyAvailability(env *sim.Env, host rpc.HostID, available bool) error {

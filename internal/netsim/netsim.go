@@ -8,23 +8,10 @@
 package netsim
 
 import (
-	"errors"
 	"time"
 
 	"sprite/internal/sim"
 )
-
-// ErrDropped is returned by Send when the installed fault hook decides the
-// message is lost. The sender has still been charged for the transmission;
-// it is the delivery that never happens. Callers at the RPC layer translate
-// this into a timeout and retransmission.
-var ErrDropped = errors.New("netsim: message dropped")
-
-// Hook observes every message send and may perturb it: extra is added to the
-// delivery time (congestion, routing flaps) and drop marks the message lost
-// after the sender has paid for the transmission. The hook runs in the
-// sending activity and must be a deterministic function of simulation state.
-type Hook func(env *sim.Env, bytes int) (extra time.Duration, drop bool)
 
 // Params configures the network model.
 type Params struct {
@@ -49,15 +36,14 @@ func DefaultParams() Params {
 }
 
 // Network charges virtual time for message deliveries and accounts traffic.
+// It is a pure cost model: every message is delivered. Loss and delay are
+// decided one layer up, by the RPC transport's fault injector.
 type Network struct {
 	params Params
 	medium *sim.Resource
-	hook   Hook
 
 	messages uint64
 	bytes    uint64
-	delayed  uint64
-	dropped  uint64
 }
 
 // New returns a network bound to the simulation.
@@ -79,25 +65,18 @@ func (n *Network) TransferTime(bytes int) time.Duration {
 
 // Send charges the calling activity for transmitting a message of the given
 // payload size and records it. It returns after the message has been
-// delivered (latency + transfer time).
+// delivered (latency + transfer time), and fails only when the activity is
+// interrupted while waiting.
 func (n *Network) Send(env *sim.Env, bytes int) error {
-	extra, drop := n.account(env, bytes)
+	n.account(bytes)
 	xfer := n.TransferTime(bytes)
 	if n.medium != nil {
 		if err := n.medium.Use(env, xfer); err != nil {
 			return err
 		}
-		if err := env.Sleep(n.params.Latency + extra); err != nil {
-			return err
-		}
-	} else if err := env.Sleep(n.params.Latency + xfer + extra); err != nil {
-		return err
+		return env.Sleep(n.params.Latency)
 	}
-	if drop {
-		n.dropped++
-		return ErrDropped
-	}
-	return nil
+	return env.Sleep(n.params.Latency + xfer)
 }
 
 // SendPipelined charges the calling activity for one fragment of a pipelined
@@ -105,64 +84,33 @@ func (n *Network) Send(env *sim.Env, bytes int) error {
 // per-message latency is not paid — in a windowed bulk protocol the
 // propagation delay overlaps with the fragments already in flight, so the
 // caller charges latency once per stream (and per stall), not per fragment.
-// Accounting, the fault hook, and contention behave exactly as in Send.
+// Accounting and contention behave exactly as in Send.
 func (n *Network) SendPipelined(env *sim.Env, bytes int) error {
-	extra, drop := n.account(env, bytes)
+	n.account(bytes)
 	xfer := n.TransferTime(bytes)
 	if n.medium != nil {
-		if err := n.medium.Use(env, xfer); err != nil {
-			return err
-		}
-		if extra > 0 {
-			if err := env.Sleep(extra); err != nil {
-				return err
-			}
-		}
-	} else if err := env.Sleep(xfer + extra); err != nil {
-		return err
+		return n.medium.Use(env, xfer)
 	}
-	if drop {
-		n.dropped++
-		return ErrDropped
-	}
-	return nil
+	return env.Sleep(xfer)
 }
 
-// account books one message on the traffic counters and consults the fault
-// hook. It charges no virtual time.
-func (n *Network) account(env *sim.Env, bytes int) (extra time.Duration, drop bool) {
+// account books one message on the traffic counters. It charges no virtual
+// time.
+func (n *Network) account(bytes int) {
 	n.messages++
 	if bytes > 0 {
 		n.bytes += uint64(bytes)
 	}
-	if n.hook != nil {
-		extra, drop = n.hook(env, bytes)
-		if extra > 0 {
-			n.delayed++
-		}
-	}
-	return extra, drop
 }
 
 // Latency returns the one-way propagation latency.
 func (n *Network) Latency() time.Duration { return n.params.Latency }
-
-// SetHook installs (or, with nil, removes) the fault hook consulted on every
-// Send. With no hook installed, Send behaves exactly as before — the default
-// path stays bit-identical for golden runs.
-func (n *Network) SetHook(h Hook) { n.hook = h }
 
 // Messages returns the number of messages sent so far.
 func (n *Network) Messages() uint64 { return n.messages }
 
 // Bytes returns the cumulative payload bytes sent so far.
 func (n *Network) Bytes() uint64 { return n.bytes }
-
-// Dropped returns the number of messages the fault hook discarded.
-func (n *Network) Dropped() uint64 { return n.dropped }
-
-// Delayed returns the number of messages the fault hook slowed down.
-func (n *Network) Delayed() uint64 { return n.delayed }
 
 // Params returns the network's configuration.
 func (n *Network) Params() Params { return n.params }

@@ -1,10 +1,8 @@
 package rpc
 
 import (
-	"errors"
 	"fmt"
 
-	"sprite/internal/netsim"
 	"sprite/internal/sim"
 )
 
@@ -168,9 +166,6 @@ func (t *Transport) window() int {
 
 // recordBulk folds one transfer's stats into the bulk metrics counters.
 func (t *Transport) recordBulk(bs *BulkStats) {
-	if t.m.reg == nil {
-		return
-	}
 	t.m.bulkCalls.Inc()
 	t.m.bulkBytes.Add(int64(bs.Bytes))
 	t.m.bulkFragments.Add(int64(bs.Fragments))
@@ -203,18 +198,7 @@ func (e *Endpoint) bulkControl(env *sim.Env, target *Endpoint, service string, r
 			continue
 		}
 		if err := t.net.Send(env, reqSize); err != nil {
-			if errors.Is(err, netsim.ErrDropped) {
-				if rerr := e.awaitRetry(env, target.host, service, attempt); rerr != nil {
-					return rerr
-				}
-				continue
-			}
 			return err
-		}
-		if v.Duplicate {
-			// The duplicate occupies the wire; the receiver's transaction
-			// check discards it.
-			_ = t.net.Send(env, reqSize)
 		}
 		if ackSize <= 0 {
 			return nil
@@ -225,24 +209,15 @@ func (e *Endpoint) bulkControl(env *sim.Env, target *Endpoint, service string, r
 			}
 			continue
 		}
-		if nerr := t.net.Send(env, ackSize); nerr != nil {
-			if errors.Is(nerr, netsim.ErrDropped) {
-				if rerr := e.awaitRetry(env, target.host, service, attempt); rerr != nil {
-					return rerr
-				}
-				continue
-			}
-			return nerr
-		}
-		return nil
+		return t.net.Send(env, ackSize)
 	}
 }
 
 // streamFragments delivers payload bytes as the windowed fragment stream and
 // returns the wire bytes charged (payload plus headers, retransmissions
-// included). A lost fragment (injector drop or network drop) waits out the
-// retransmission timeout and is selectively resent; the resend restarts the
-// pipeline, so it pays the one-way latency again.
+// included). A fragment the injector drops waits out the retransmission
+// timeout and is selectively resent; the resend restarts the pipeline, so
+// it pays the one-way latency again.
 func (e *Endpoint) streamFragments(env *sim.Env, target *Endpoint, service string, payload int, bs *BulkStats) (int, error) {
 	t := e.transport
 	fragSize := t.fragSize()
@@ -290,18 +265,7 @@ func (e *Endpoint) streamFragments(env *sim.Env, target *Endpoint, service strin
 			// For a fragment, a lost ack and a lost fragment look the
 			// same to the sender: the selective-repeat hole never closes
 			// and the fragment is resent after the timeout.
-			lost := v.DropRequest || v.DropReply
-			if !lost {
-				err := t.net.SendPipelined(env, size)
-				wire += size
-				if err != nil {
-					if !errors.Is(err, netsim.ErrDropped) {
-						return wire, err
-					}
-					lost = true
-				}
-			}
-			if lost {
+			if v.DropRequest || v.DropReply {
 				if err := e.awaitRetry(env, target.host, fragService, attempt); err != nil {
 					return wire, err
 				}
@@ -312,9 +276,10 @@ func (e *Endpoint) streamFragments(env *sim.Env, target *Endpoint, service strin
 				}
 				continue
 			}
-			if v.Duplicate {
-				_ = t.net.SendPipelined(env, size)
-				wire += size
+			err := t.net.SendPipelined(env, size)
+			wire += size
+			if err != nil {
+				return wire, err
 			}
 			break
 		}

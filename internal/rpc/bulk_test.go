@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"sprite/internal/metrics"
 	"sprite/internal/netsim"
 	"sprite/internal/sim"
 )
@@ -17,7 +18,7 @@ func newBulkFabric(t testing.TB, hosts int) (*sim.Simulation, *Transport) {
 	t.Helper()
 	s := sim.New(1)
 	net := netsim.New(s, netsim.Params{Latency: 500 * time.Microsecond, BandwidthBytesPerSec: 10 << 20})
-	tr := NewTransport(s, net, DefaultParams())
+	tr := NewTransport(s, net, DefaultParams(), metrics.New())
 	for i := 1; i <= hosts; i++ {
 		tr.Register(HostID(i))
 	}

@@ -83,9 +83,6 @@ type Verdict struct {
 	// then resends the cached reply without re-executing the handler
 	// (Sprite RPC's at-most-once semantics, after Birrell & Nelson).
 	DropReply bool
-	// Duplicate delivers the request twice; the server discards the
-	// duplicate but the extra packet is charged to the network.
-	Duplicate bool
 	// Delay adds one-way latency to the request leg.
 	Delay time.Duration
 }
@@ -160,11 +157,9 @@ type Transport struct {
 	injector  Injector
 	observer  EpochObserver
 	hintObs   HintObserver
-	retries   uint64
-	timeouts  uint64
 
-	// Optional metrics plane. Counter pointers are cached here so the
-	// per-call cost with metrics installed is a handful of adds.
+	// Metrics plane. Counter pointers are cached here so the per-call
+	// cost is a handful of adds.
 	m struct {
 		reg      *metrics.Registry
 		calls    *metrics.Counter
@@ -186,29 +181,6 @@ type hostCounters struct {
 	calls *metrics.Counter
 	bytes *metrics.Counter
 	errs  *metrics.Counter
-}
-
-// SetMetrics installs (or with nil removes) the registry receiving RPC
-// traffic counters: rpc.calls / rpc.bytes / rpc.errs / rpc.retries /
-// rpc.timeouts plus per-destination rpc.to.<host>.{calls,bytes,errs}.
-func (t *Transport) SetMetrics(reg *metrics.Registry) {
-	t.m.reg = reg
-	t.m.perHost = nil
-	if reg == nil {
-		t.m.calls, t.m.bytes, t.m.errs, t.m.retries, t.m.timeouts = nil, nil, nil, nil, nil
-		t.m.bulkCalls, t.m.bulkBytes, t.m.bulkFragments, t.m.bulkRetransmits = nil, nil, nil, nil
-		return
-	}
-	t.m.calls = reg.Counter("rpc.calls")
-	t.m.bytes = reg.Counter("rpc.bytes")
-	t.m.errs = reg.Counter("rpc.errs")
-	t.m.retries = reg.Counter("rpc.retries")
-	t.m.timeouts = reg.Counter("rpc.timeouts")
-	t.m.bulkCalls = reg.Counter("rpc.bulk.calls")
-	t.m.bulkBytes = reg.Counter("rpc.bulk.bytes")
-	t.m.bulkFragments = reg.Counter("rpc.bulk.fragments")
-	t.m.bulkRetransmits = reg.Counter("rpc.bulk.retransmits")
-	t.m.perHost = make(map[HostID]*hostCounters)
 }
 
 func (t *Transport) hostCounters(to HostID) *hostCounters {
@@ -242,20 +214,35 @@ func (t *Transport) SetEpochObserver(obs EpochObserver) { t.observer = obs }
 func (t *Transport) SetHintObserver(obs HintObserver) { t.hintObs = obs }
 
 // Retries returns the number of retransmissions performed so far.
-func (t *Transport) Retries() uint64 { return t.retries }
+func (t *Transport) Retries() uint64 { return uint64(t.m.retries.Value()) }
 
 // Timeouts returns the number of calls that failed with ErrTimeout.
-func (t *Transport) Timeouts() uint64 { return t.timeouts }
+func (t *Transport) Timeouts() uint64 { return uint64(t.m.timeouts.Value()) }
 
-// NewTransport returns an empty transport over the given network.
-func NewTransport(s *sim.Simulation, net *netsim.Network, params Params) *Transport {
-	return &Transport{
+// NewTransport returns an empty transport over the given network. Traffic is
+// counted into reg: rpc.calls / rpc.bytes / rpc.errs / rpc.retries /
+// rpc.timeouts, the rpc.bulk.* counters, and per-destination
+// rpc.to.<host>.{calls,bytes,errs}.
+func NewTransport(s *sim.Simulation, net *netsim.Network, params Params, reg *metrics.Registry) *Transport {
+	t := &Transport{
 		sim:       s,
 		net:       net,
 		params:    params,
 		endpoints: make(map[HostID]*Endpoint),
 		stats:     make(map[string]*CallStats),
 	}
+	t.m.reg = reg
+	t.m.calls = reg.Counter("rpc.calls")
+	t.m.bytes = reg.Counter("rpc.bytes")
+	t.m.errs = reg.Counter("rpc.errs")
+	t.m.retries = reg.Counter("rpc.retries")
+	t.m.timeouts = reg.Counter("rpc.timeouts")
+	t.m.bulkCalls = reg.Counter("rpc.bulk.calls")
+	t.m.bulkBytes = reg.Counter("rpc.bulk.bytes")
+	t.m.bulkFragments = reg.Counter("rpc.bulk.fragments")
+	t.m.bulkRetransmits = reg.Counter("rpc.bulk.retransmits")
+	t.m.perHost = make(map[HostID]*hostCounters)
+	return t
 }
 
 // Register creates (or returns) the endpoint for a host.
@@ -312,9 +299,6 @@ func (t *Transport) record(to HostID, service string, bytes int, failed bool) {
 	st.Bytes += uint64(bytes)
 	if failed {
 		st.Errs++
-	}
-	if t.m.reg == nil {
-		return
 	}
 	t.m.calls.Inc()
 	t.m.bytes.Add(int64(bytes))
@@ -437,13 +421,6 @@ func (e *Endpoint) Call(env *sim.Env, to HostID, service string, arg any, argSiz
 			continue
 		}
 		if err := t.net.Send(env, argSize); err != nil {
-			if errors.Is(err, netsim.ErrDropped) {
-				if rerr := e.awaitRetry(env, to, service, attempt); rerr != nil {
-					t.record(to, service, argSize, true)
-					return nil, rerr
-				}
-				continue
-			}
 			return nil, err
 		}
 		if !executed {
@@ -455,12 +432,6 @@ func (e *Endpoint) Call(env *sim.Env, to HostID, service string, arg any, argSiz
 			}
 			executed = true
 		}
-		if v.Duplicate {
-			// The duplicate request occupies the wire but is discarded by
-			// the server's transaction check; the error (if the medium is
-			// perturbed again) does not affect the call.
-			_ = t.net.Send(env, argSize)
-		}
 		if v.DropReply {
 			if err := e.awaitRetry(env, to, service, attempt); err != nil {
 				t.record(to, service, argSize, true)
@@ -468,15 +439,8 @@ func (e *Endpoint) Call(env *sim.Env, to HostID, service string, arg any, argSiz
 			}
 			continue
 		}
-		if nerr := t.net.Send(env, replySize); nerr != nil {
-			if errors.Is(nerr, netsim.ErrDropped) {
-				if rerr := e.awaitRetry(env, to, service, attempt); rerr != nil {
-					t.record(to, service, argSize, true)
-					return nil, rerr
-				}
-				continue
-			}
-			return nil, nerr
+		if err := t.net.Send(env, replySize); err != nil {
+			return nil, err
 		}
 		t.record(to, service, argSize+replySize, herr != nil)
 		if t.observer != nil {
@@ -505,16 +469,10 @@ func (e *Endpoint) awaitRetry(env *sim.Env, to HostID, service string, attempt i
 		return err
 	}
 	if attempt >= t.params.MaxRetries {
-		t.timeouts++
-		if t.m.reg != nil {
-			t.m.timeouts.Inc()
-		}
+		t.m.timeouts.Inc()
 		return fmt.Errorf("%w: %s to %v after %d attempts", ErrTimeout, service, to, attempt+1)
 	}
-	t.retries++
-	if t.m.reg != nil {
-		t.m.retries.Inc()
-	}
+	t.m.retries.Inc()
 	if b := t.params.RetryBackoff; b > 0 {
 		return env.Sleep(b << uint(attempt))
 	}
@@ -534,10 +492,6 @@ func (e *Endpoint) Broadcast(env *sim.Env, service string, arg any, argSize int)
 		return nil, err
 	}
 	if err := t.net.Send(env, argSize); err != nil {
-		if errors.Is(err, netsim.ErrDropped) {
-			// The multicast itself was lost; nobody answers.
-			return make(map[HostID]any), nil
-		}
 		return nil, err
 	}
 	replies := make(map[HostID]any)
@@ -563,11 +517,8 @@ func (e *Endpoint) Broadcast(env *sim.Env, service string, arg any, argSize int)
 		if err != nil {
 			continue
 		}
-		if nerr := t.net.Send(env, replySize); nerr != nil {
-			if errors.Is(nerr, netsim.ErrDropped) {
-				continue
-			}
-			return nil, nerr
+		if err := t.net.Send(env, replySize); err != nil {
+			return nil, err
 		}
 		t.record(id, service+".bcast", argSize+replySize, false)
 		if t.observer != nil {

@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"sprite/internal/metrics"
 	"sprite/internal/netsim"
 	"sprite/internal/sim"
 )
@@ -13,7 +14,7 @@ func newFabric(t *testing.T, hosts int) (*sim.Simulation, *Transport) {
 	t.Helper()
 	s := sim.New(1)
 	net := netsim.New(s, netsim.Params{Latency: time.Millisecond, BandwidthBytesPerSec: 1e6})
-	tr := NewTransport(s, net, Params{ClientOverhead: time.Millisecond})
+	tr := NewTransport(s, net, Params{ClientOverhead: time.Millisecond}, metrics.New())
 	for i := 1; i <= hosts; i++ {
 		tr.Register(HostID(i))
 	}

@@ -146,31 +146,6 @@ func (q *Queue) Recv(env *Env) (any, error) {
 	return v, nil
 }
 
-// RecvTimeout is Recv with a deadline: it returns ErrTimeout if no item
-// arrives within d. It is safe with a single receiver per queue (the RPC
-// reply-mailbox shape); with several receivers a timed-out waiter could
-// consume an item a concurrent Send had already woken another waiter for.
-func (q *Queue) RecvTimeout(env *Env, d time.Duration) (any, error) {
-	if len(q.items) == 0 {
-		if q.closed {
-			return nil, ErrStopped
-		}
-		q.waiters = append(q.waiters, env)
-		env.act.wake = env.scheduleWake(d)
-		if werr := env.block(); werr != nil {
-			q.dropWaiter(env)
-			return nil, werr
-		}
-		if len(q.items) == 0 {
-			q.dropWaiter(env)
-			return nil, ErrTimeout
-		}
-	}
-	v := q.items[0]
-	q.items = q.items[1:]
-	return v, nil
-}
-
 func (q *Queue) dropWaiter(env *Env) {
 	for i, w := range q.waiters {
 		if w == env {
@@ -266,12 +241,8 @@ func (r *Resource) Use(env *Env, d time.Duration) error {
 }
 
 // BusyTime returns the total virtual time during which at least one slot was
-// held. QueueLen returns the number of blocked acquirers. WaitTime returns
-// cumulative time spent waiting to acquire.
+// held.
 func (r *Resource) BusyTime() time.Duration { return r.busy }
-
-// QueueLen returns the number of activities currently blocked in Acquire.
-func (r *Resource) QueueLen() int { return len(r.waiters) }
 
 // WaitTime returns the cumulative virtual time acquirers spent queued.
 func (r *Resource) WaitTime() time.Duration { return r.waited }

@@ -116,9 +116,6 @@ func (s *Segment) DirtyCount() int { return countTrue(s.dirty) }
 // DirtyList returns the indexes of dirty pages in ascending order.
 func (s *Segment) DirtyList() []int { return listTrue(s.dirty) }
 
-// ResidentList returns the indexes of resident pages in ascending order.
-func (s *Segment) ResidentList() []int { return listTrue(s.resident) }
-
 // SetPager replaces the segment's pager (used by migration strategies).
 func (s *Segment) SetPager(p Pager) { s.pager = p }
 
@@ -146,13 +143,6 @@ func (s *Segment) MarkResident(i int, dirty bool) {
 	if i >= 0 && i < s.pages {
 		s.resident[i] = true
 		s.dirty[i] = dirty
-	}
-}
-
-// ClearDirty marks page i clean.
-func (s *Segment) ClearDirty(i int) {
-	if i >= 0 && i < s.pages {
-		s.dirty[i] = false
 	}
 }
 

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"sprite/internal/fs"
+	"sprite/internal/metrics"
 	"sprite/internal/netsim"
 	"sprite/internal/rpc"
 	"sprite/internal/sim"
@@ -13,6 +14,7 @@ import (
 
 type harness struct {
 	sim *sim.Simulation
+	reg *metrics.Registry
 	fs  *fs.FS
 }
 
@@ -20,15 +22,16 @@ func newHarness(t testing.TB) *harness {
 	t.Helper()
 	s := sim.New(1)
 	net := netsim.New(s, netsim.Params{Latency: 500 * time.Microsecond, BandwidthBytesPerSec: 1e6})
-	tr := rpc.NewTransport(s, net, rpc.Params{ClientOverhead: time.Millisecond})
-	f := fs.New(s, tr, fs.DefaultParams())
+	reg := metrics.New()
+	tr := rpc.NewTransport(s, net, rpc.Params{ClientOverhead: time.Millisecond}, reg)
+	f := fs.New(s, tr, fs.DefaultParams(), reg)
 	f.AddServer(1, "/")
 	f.AddClient(2)
 	f.AddClient(3)
 	if _, err := f.Seed("/bin/prog", make([]byte, 64*1024), false); err != nil {
 		t.Fatal(err)
 	}
-	return &harness{sim: s, fs: f}
+	return &harness{sim: s, reg: reg, fs: f}
 }
 
 func (h *harness) run(t testing.TB, fn func(env *sim.Env) error) {
@@ -185,14 +188,15 @@ func TestCodePagesFromBinaryAreCached(t *testing.T) {
 				return err
 			}
 		}
-		hits := h.fs.Client(2).Stats().Hits
+		cacheHits := h.reg.Counter("fs.cache.hits")
+		hits := cacheHits.Value()
 		as2 := newSpace(t, env, h, "p2", 4)
 		for i := 0; i < as2.Code.Pages(); i++ {
 			if err := as2.Touch(env, as2.Code, i, false); err != nil {
 				return err
 			}
 		}
-		if h.fs.Client(2).Stats().Hits <= hits {
+		if cacheHits.Value() <= hits {
 			t.Error("second process's code touches should hit the cache")
 		}
 		return nil
