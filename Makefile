@@ -14,9 +14,10 @@ vet:
 
 # spritelint (DESIGN.md §11, §14): the project's own go/analysis-style
 # suite — five intraprocedural analyzers (walltime, globalrand, maporder,
-# failpointreg, metricname) plus the interprocedural simtaint analyzer
-# built on whole-tree function summaries — run over the whole tree. Built once into bin/ so repeated runs reuse
-# the build cache; the whole-tree pattern also enables the
+# failpointreg, metricname) plus the interprocedural simtaint and deadcode
+# analyzers built on the whole-tree call graph and function summaries —
+# run over the whole tree. Built once into bin/ so repeated runs reuse
+# the build cache; the whole-tree pattern also enables deadcode, the
 # dead-failpoint audit and the stale-allow audit (-deadallow).
 lint:
 	$(GO) build -o bin/spritelint ./cmd/spritelint

@@ -1,21 +1,22 @@
 // Command spritelint is the project's multichecker: it runs the
 // internal/analysis suite — the per-function analyzers walltime,
 // globalrand, maporder, failpointreg, metricname, and the interprocedural
-// tree analyzer simtaint — over the requested packages and fails (exit 1)
-// on any violation. The analyzers statically enforce the contracts
-// everything else in this repo only promises: byte-identical goldens,
-// seed-replayable fuzzing, the exact virtual-time regression gate, and a
-// failpoint/metric namespace shared by code, tests, and DESIGN.md §11 —
-// the tree analyzer proving the determinism contract across call chains
+// tree analyzers simtaint and deadcode — over the requested packages and
+// fails (exit 1) on any violation. The analyzers statically enforce the
+// contracts everything else in this repo only promises: byte-identical
+// goldens, seed-replayable fuzzing, the exact virtual-time regression
+// gate, and a failpoint/metric namespace shared by code, tests, and
+// DESIGN.md §11 — simtaint proving the determinism contract across call
+// chains, deadcode keeping every function reachable from a root
 // (DESIGN.md §14).
 //
 // Usage:
 //
 //	spritelint [flags] [packages]
 //
-// With no packages, ./... is linted. After a whole-tree run (a ./...
-// pattern) the driver additionally cross-checks the failpoint registry for
-// dead entries — registered names no code references.
+// With no packages, ./... is linted. Only a whole-tree run (a ./...
+// pattern) runs deadcode and cross-checks the failpoint registry for dead
+// entries — registered names no code references.
 //
 //	-list              print the analyzers and exit
 //	-json              emit diagnostics and run metadata as JSON
@@ -46,6 +47,7 @@ import (
 	"sort"
 
 	"sprite/internal/analysis/dataflow"
+	"sprite/internal/analysis/deadcode"
 	"sprite/internal/analysis/failpointreg"
 	"sprite/internal/analysis/globalrand"
 	"sprite/internal/analysis/lint"
@@ -66,6 +68,7 @@ var analyzers = []*lint.Analyzer{
 
 var treeAnalyzers = []*dataflow.TreeAnalyzer{
 	simtaint.Analyzer,
+	deadcode.Analyzer,
 }
 
 // jsonReport is the -json output schema, kept stable for CI artifacts.
@@ -152,7 +155,8 @@ func main() {
 		}
 	}
 
-	// Interprocedural pass: one shared Tree, three analyzers over it.
+	// Interprocedural pass: one shared Tree, every tree analyzer over it;
+	// whole-tree-only analyzers sit out partial runs.
 	var cache *dataflow.Cache
 	if *useCache {
 		cache = &dataflow.Cache{Dir: *cacheDir}
@@ -163,6 +167,9 @@ func main() {
 		return
 	}
 	for _, a := range treeAnalyzers {
+		if a.WholeTree && !wholeTree {
+			continue
+		}
 		diags, err := a.Run(tree)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "spritelint: %s: %v\n", a.Name, err)

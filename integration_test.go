@@ -4,6 +4,7 @@
 package sprite_test
 
 import (
+	"errors"
 	"math/rand"
 	"testing"
 	"time"
@@ -210,8 +211,13 @@ func TestStrategySwapThroughFacade(t *testing.T) {
 // after migration and asserts the per-class behaviour from Appendix A.
 func TestAppendixAConformance(t *testing.T) {
 	c := newFacadeCluster(t, 2, nil)
-	if err := c.Seed("/data/conf", []byte("0123456789")); err != nil {
-		t.Fatal(err)
+	for _, path := range []string{"/data/conf", "/data/unlink.home", "/data/unlink.away"} {
+		if err := c.Seed(path, []byte("0123456789")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := sprite.SyscallTable["unlink"]; got != sprite.PolicyFile {
+		t.Fatalf("unlink classified %v, want PolicyFile", got)
 	}
 	dst := c.Workstation(1)
 	cfg := sprite.ProcConfig{Binary: "/bin/prog", CodePages: 4, HeapPages: 8, StackPages: 2}
@@ -242,8 +248,28 @@ func TestAppendixAConformance(t *testing.T) {
 				r.data = string(data)
 				return r, ctx.Close(fd)
 			}
+			// File class: unlink goes straight to the file server from
+			// wherever the process runs — no call is forwarded home — and
+			// the file is gone from the shared FS either way.
+			unlink := func(path string) error {
+				k := ctx.Process().Current()
+				fwd := k.Stats().ForwardedCalls
+				if err := ctx.Remove(path); err != nil {
+					return err
+				}
+				if _, err := ctx.Stat(path); !errors.Is(err, fs.ErrNotFound) {
+					t.Errorf("stat %s after unlink on %v: err = %v, want ErrNotFound", path, k.Host(), err)
+				}
+				if got := k.Stats().ForwardedCalls; got != fwd {
+					t.Errorf("unlink on %v forwarded %d call(s) home", k.Host(), got-fwd)
+				}
+				return nil
+			}
 			before, err := probe()
 			if err != nil {
+				return err
+			}
+			if err := unlink("/data/unlink.home"); err != nil {
 				return err
 			}
 			if err := ctx.Migrate(dst.Host()); err != nil {
@@ -251,6 +277,9 @@ func TestAppendixAConformance(t *testing.T) {
 			}
 			after, err := probe()
 			if err != nil {
+				return err
+			}
+			if err := unlink("/data/unlink.away"); err != nil {
 				return err
 			}
 			if before != after {

@@ -119,7 +119,10 @@ type Summary struct {
 type TreeAnalyzer struct {
 	Name string
 	Doc  string
-	Run  func(*Tree) ([]lint.Diagnostic, error)
+	// WholeTree restricts the analyzer to whole-tree runs (a ./...
+	// pattern), for checks that a partial load would falsify.
+	WholeTree bool
+	Run       func(*Tree) ([]lint.Diagnostic, error)
 }
 
 // Tree is the analyzed whole program.

@@ -67,40 +67,8 @@ func RerunCheck(sc Scenario) []string {
 // ShrinkRerun greedily minimizes a scenario whose reruns diverge, reusing
 // the fuzzer's shrinking moves with "still diverges" as the predicate.
 func ShrinkRerun(sc Scenario) (Scenario, []string) {
-	diffs := RerunCheck(sc)
-	if len(diffs) == 0 {
-		return sc, nil
-	}
-	cur := sc
-	for changed := true; changed; {
-		changed = false
-		for i := 0; i < len(cur.Events); i++ {
-			cand := cur
-			cand.Events = make([]Event, 0, len(cur.Events)-1)
-			cand.Events = append(cand.Events, cur.Events[:i]...)
-			cand.Events = append(cand.Events, cur.Events[i+1:]...)
-			if d := RerunCheck(cand); len(d) > 0 {
-				cur, diffs = cand, d
-				changed = true
-				break
-			}
-		}
-		if !changed && cur.Gossip {
-			cand := cur
-			cand.Gossip = false
-			if d := RerunCheck(cand); len(d) > 0 {
-				cur, diffs = cand, d
-				changed = true
-			}
-		}
-		if !changed && cur.Procs > 1 {
-			cand := cur
-			cand.Procs = cur.Procs / 2
-			if d := RerunCheck(cand); len(d) > 0 {
-				cur, diffs = cand, d
-				changed = true
-			}
-		}
-	}
-	return cur, diffs
+	return shrink(sc, scenarioParts, func(s Scenario) ([]string, bool) {
+		d := RerunCheck(s)
+		return d, len(d) > 0
+	})
 }

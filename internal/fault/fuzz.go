@@ -218,6 +218,27 @@ type KernelObservation struct {
 // function of the scenario.
 func RunScenario(sc Scenario) *Result { return runScenario(sc, nil) }
 
+// traceRun installs a fuzz run's trace sink on c and returns the ring that
+// failure reports tail. Tracing costs no simulated time, so recording
+// unconditionally keeps the run identical to an untraced one while giving
+// failure reports the last events before things went wrong. A non-nil
+// capture additionally keeps the complete event stream — byte-exact traces
+// are the strongest rerun comparison — and finish stores it there.
+func traceRun(c *core.Cluster, capture *KernelObservation) (lg *trace.Log, finish func()) {
+	lg = trace.New(512)
+	if capture == nil {
+		c.SetTrace(lg.Func())
+		return lg, func() {}
+	}
+	var full strings.Builder
+	ring := lg.Func()
+	c.SetTrace(func(at time.Duration, kind, detail string) {
+		fmt.Fprintf(&full, "%v %s %s\n", at, kind, detail)
+		ring(at, kind, detail)
+	})
+	return lg, func() { capture.Trace = full.String() }
+}
+
 // runScenario executes sc; a non-nil capture additionally receives the
 // run's full observable surface.
 func runScenario(sc Scenario, capture *KernelObservation) *Result {
@@ -241,23 +262,8 @@ func runScenario(sc Scenario, capture *KernelObservation) *Result {
 		return res
 	}
 
-	// Tracing costs no simulated time, so recording unconditionally keeps
-	// the run identical to an untraced one while giving failure reports the
-	// last events before things went wrong.
-	lg := trace.New(512)
-	if capture != nil {
-		// Rerun checks additionally keep the complete event stream:
-		// byte-exact traces are the strongest comparison.
-		var full strings.Builder
-		ring := lg.Func()
-		c.SetTrace(func(at time.Duration, kind, detail string) {
-			fmt.Fprintf(&full, "%v %s %s\n", at, kind, detail)
-			ring(at, kind, detail)
-		})
-		defer func() { capture.Trace = full.String() }()
-	} else {
-		c.SetTrace(lg.Func())
-	}
+	lg, finish := traceRun(c, capture)
+	defer finish()
 
 	// The plane's private stream is derived from the scenario seed so the
 	// whole run replays from one number.
@@ -522,42 +528,57 @@ func fuzzProgram(c *core.Cluster, i int, pl procPlan) core.Program {
 }
 
 // Shrink greedily minimizes a failing scenario: drop fault events one at a
-// time, then halve the process count, keeping every step that still fails.
-// Because runs are deterministic, "still fails" is exact, not statistical.
+// time, then drop gossip, then halve the process count, keeping every step
+// that still fails. Because runs are deterministic, "still fails" is exact,
+// not statistical.
 func Shrink(sc Scenario) (Scenario, *Result) {
-	res := RunScenario(sc)
-	if !res.Failed() {
+	return shrink(sc, scenarioParts, func(s Scenario) (*Result, bool) {
+		r := RunScenario(s)
+		return r, r.Failed()
+	})
+}
+
+// scenarioParts exposes the fields shrink reduces.
+func scenarioParts(s *Scenario) (*[]Event, *bool, *int) { return &s.Events, &s.Gossip, &s.Procs }
+
+// shrink is the greedy minimizer behind Shrink, ShrinkFleet and
+// ShrinkRerun. parts exposes a scenario's event list, gossip switch and
+// size; fails runs a candidate and reports whether it still fails. Moves
+// are tried in order — drop one event, drop gossip, halve the size — and
+// the first that still fails is kept before starting over.
+func shrink[S, E, R any](sc S, parts func(*S) (*[]E, *bool, *int), fails func(S) (R, bool)) (S, R) {
+	res, failed := fails(sc)
+	if !failed {
 		return sc, res
 	}
 	cur := sc
+	try := func(cand S) bool {
+		r, failed := fails(cand)
+		if failed {
+			cur, res = cand, r
+		}
+		return failed
+	}
 	for changed := true; changed; {
 		changed = false
-		for i := 0; i < len(cur.Events); i++ {
+		events, gossip, size := parts(&cur)
+		for i, evs := 0, *events; i < len(evs) && !changed; i++ {
 			cand := cur
-			cand.Events = make([]Event, 0, len(cur.Events)-1)
-			cand.Events = append(cand.Events, cur.Events[:i]...)
-			cand.Events = append(cand.Events, cur.Events[i+1:]...)
-			if r := RunScenario(cand); r.Failed() {
-				cur, res = cand, r
-				changed = true
-				break
-			}
+			ce, _, _ := parts(&cand)
+			*ce = append(append(make([]E, 0, len(evs)-1), evs[:i]...), evs[i+1:]...)
+			changed = try(cand)
 		}
-		if !changed && cur.Gossip {
+		if !changed && *gossip {
 			cand := cur
-			cand.Gossip = false
-			if r := RunScenario(cand); r.Failed() {
-				cur, res = cand, r
-				changed = true
-			}
+			_, cg, _ := parts(&cand)
+			*cg = false
+			changed = try(cand)
 		}
-		if !changed && cur.Procs > 1 {
+		if !changed && *size > 1 {
 			cand := cur
-			cand.Procs = cur.Procs / 2
-			if r := RunScenario(cand); r.Failed() {
-				cur, res = cand, r
-				changed = true
-			}
+			_, _, cs := parts(&cand)
+			*cs = *size / 2
+			changed = try(cand)
 		}
 	}
 	return cur, res

@@ -70,3 +70,28 @@ func TestScenarioDeterminism(t *testing.T) {
 		}
 	}
 }
+
+// TestShrinkMovesWithSyntheticPredicate drives the greedy shrinker with a
+// predicate that fails only while the crash on host 2 is present and at
+// least three processes run: shrinking must keep exactly that event, drop
+// gossip, and stop halving at the smallest failing size.
+func TestShrinkMovesWithSyntheticPredicate(t *testing.T) {
+	sc := Scenario{Procs: 12, Gossip: true, Events: []Event{
+		{Kind: KindDrop, Host: 0}, {Kind: KindCrash, Host: 2}, {Kind: KindDelay, Host: 1},
+	}}
+	min, got := shrink(sc, scenarioParts, func(s Scenario) (int, bool) {
+		for _, e := range s.Events {
+			if e.Kind == KindCrash && e.Host == 2 {
+				return len(s.Events), s.Procs >= 3
+			}
+		}
+		return len(s.Events), false
+	})
+	want := Scenario{Procs: 3, Events: []Event{{Kind: KindCrash, Host: 2}}}
+	if min.String() != want.String() || got != 1 {
+		t.Fatalf("shrunk to %v (result %d), want %v (result 1)", min, got, want)
+	}
+	if sc.Procs != 12 || len(sc.Events) != 3 {
+		t.Fatalf("shrink mutated its input: %v", sc)
+	}
+}

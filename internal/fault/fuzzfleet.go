@@ -12,7 +12,6 @@ import (
 	"sprite/internal/recovery"
 	"sprite/internal/rpc"
 	"sprite/internal/sim"
-	"sprite/internal/trace"
 )
 
 // This file is the fleet-plane scenario family: seed-derived storms of
@@ -238,18 +237,8 @@ func runFleetScenario(sc FleetScenario, capture *KernelObservation) *Result {
 		fail("seed: %v", err)
 		return res
 	}
-	lg := trace.New(512)
-	if capture != nil {
-		var full strings.Builder
-		ring := lg.Func()
-		c.SetTrace(func(at time.Duration, kind, detail string) {
-			fmt.Fprintf(&full, "%v %s %s\n", at, kind, detail)
-			ring(at, kind, detail)
-		})
-		defer func() { capture.Trace = full.String() }()
-	} else {
-		c.SetTrace(lg.Func())
-	}
+	lg, finish := traceRun(c, capture)
+	defer finish()
 
 	mon := recovery.NewMonitor(c, recovery.Params{
 		Interval:      10 * time.Millisecond,
@@ -419,40 +408,11 @@ func runFleetScenario(sc FleetScenario, capture *KernelObservation) *Result {
 // every step that still fails. Deterministic runs make "still fails"
 // exact.
 func ShrinkFleet(sc FleetScenario) (FleetScenario, *Result) {
-	res := RunFleetScenario(sc)
-	if !res.Failed() {
-		return sc, res
-	}
-	cur := sc
-	for changed := true; changed; {
-		changed = false
-		for i := 0; i < len(cur.Events); i++ {
-			cand := cur
-			cand.Events = make([]FleetEvent, 0, len(cur.Events)-1)
-			cand.Events = append(cand.Events, cur.Events[:i]...)
-			cand.Events = append(cand.Events, cur.Events[i+1:]...)
-			if r := RunFleetScenario(cand); r.Failed() {
-				cur, res = cand, r
-				changed = true
-				break
-			}
-		}
-		if !changed && cur.Gossip {
-			cand := cur
-			cand.Gossip = false
-			if r := RunFleetScenario(cand); r.Failed() {
-				cur, res = cand, r
-				changed = true
-			}
-		}
-		if !changed && cur.Jobs > 1 {
-			cand := cur
-			cand.Jobs = cur.Jobs / 2
-			if r := RunFleetScenario(cand); r.Failed() {
-				cur, res = cand, r
-				changed = true
-			}
-		}
-	}
-	return cur, res
+	return shrink(sc, fleetParts, func(s FleetScenario) (*Result, bool) {
+		r := RunFleetScenario(s)
+		return r, r.Failed()
+	})
 }
+
+// fleetParts exposes the fields shrink reduces.
+func fleetParts(s *FleetScenario) (*[]FleetEvent, *bool, *int) { return &s.Events, &s.Gossip, &s.Jobs }

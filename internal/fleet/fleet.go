@@ -268,9 +268,6 @@ func New(c *core.Cluster, p Params) *Manager {
 // Params returns the manager's configuration.
 func (m *Manager) Params() Params { return m.p }
 
-// Pricer returns the manager's time-to-eviction model.
-func (m *Manager) Pricer() *Pricer { return m.pricer }
-
 // SetMonitor attaches the liveness monitor: its per-probe results feed the
 // missed-probe health signal and readmission probation, and its HostDown
 // declarations feed the pricer's eviction model.

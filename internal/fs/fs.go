@@ -183,9 +183,6 @@ func New(s *sim.Simulation, transport *rpc.Transport, params Params, reg *metric
 	}
 }
 
-// Params returns the file system configuration.
-func (f *FS) Params() Params { return f.params }
-
 // AddServer creates a file server on the given host serving the given path
 // prefix (e.g. "/" or "/b").
 func (f *FS) AddServer(host rpc.HostID, prefix string) *Server {

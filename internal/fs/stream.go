@@ -33,9 +33,6 @@ func (st *Stream) Pipe() bool { return st.pipe }
 // authoritative position is at the server and this value is a snapshot.
 func (st *Stream) Offset() int64 { return st.offset }
 
-// Size returns the stream's last known file size.
-func (st *Stream) Size() int { return st.size }
-
 // Shared reports whether the access position is shadowed at the I/O server.
 func (st *Stream) Shared() bool { return st.shared }
 

@@ -11,9 +11,10 @@
 //   - Deterministic when read. Snapshot output is sorted by name and every
 //     rendered value is a pure function of the recorded observations, so
 //     two same-seed runs produce byte-identical snapshots.
-//   - Mergeable. Timings carry quantile sketches (internal/stats.Sketch)
-//     whose merge keeps the relative-error bound, so per-host timings can
-//     roll up into cluster ones.
+//   - Bounded. A timing keeps count, sum and extrema plus a quantile
+//     sketch (internal/stats.Sketch) whose memory grows with the range of
+//     the observations, not their number; snapshots report its p50, p95
+//     and p99.
 package metrics
 
 import (
@@ -76,123 +77,44 @@ func (g *Gauge) Value() int64 { return g.v.Load() }
 // Max returns the high-water mark since creation.
 func (g *Gauge) Max() int64 { return g.max.Load() }
 
-// TimingBuckets configures the fixed histogram under every Timing: bucket
-// i counts observations in [Lo + i*Width, Lo + (i+1)*Width).
-type TimingBuckets struct {
-	Lo      time.Duration
-	Width   time.Duration
-	Buckets int
-}
-
-// DefaultTimingBuckets spans 0..1s in 10 ms steps — the range of one
-// migration phase at the thesis's hardware scale.
-var DefaultTimingBuckets = TimingBuckets{Lo: 0, Width: 10 * time.Millisecond, Buckets: 100}
-
-// timingAcc is a Timing's accumulator state.
-type timingAcc struct {
+// Timing accumulates duration observations: count, sum, min, max, and an
+// online quantile sketch.
+type Timing struct {
+	mu       sync.Mutex
 	n        uint64
 	sum      time.Duration
 	min, max time.Duration
-	hist     *stats.Histogram
 	sketch   *stats.Sketch
 }
 
-func (a *timingAcc) observe(d time.Duration) {
-	if a.n == 0 || d < a.min {
-		a.min = d
-	}
-	if a.n == 0 || d > a.max {
-		a.max = d
-	}
-	a.n++
-	a.sum += d
-	a.hist.Add(d.Seconds())
-	a.sketch.Add(d.Seconds())
-}
-
-// Timing accumulates duration observations: count, sum, min, max, a
-// fixed-bucket histogram, and an online quantile sketch.
-type Timing struct {
-	mu sync.Mutex
-	timingAcc
-}
-
-func newTiming(b TimingBuckets) *Timing {
-	if b.Buckets <= 0 {
-		b = DefaultTimingBuckets
-	}
-	return &Timing{timingAcc: timingAcc{
-		hist:   stats.NewHistogram(b.Lo.Seconds(), b.Width.Seconds(), b.Buckets),
-		sketch: stats.NewSketch(stats.DefaultSketchAccuracy),
-	}}
+func newTiming() *Timing {
+	return &Timing{sketch: stats.NewSketch(stats.DefaultSketchAccuracy)}
 }
 
 // Observe records one duration.
 func (t *Timing) Observe(d time.Duration) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	t.observe(d)
-}
-
-// fold returns a consistent copy of the scalar accumulators plus a copy of
-// the sketch that the caller owns.
-func (t *Timing) fold() (acc timingAcc, sketch *stats.Sketch) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	acc = t.timingAcc
-	sketch = stats.NewSketch(acc.sketch.Alpha())
-	_ = sketch.Merge(acc.sketch)
-	return acc, sketch
-}
-
-// N returns the number of observations.
-func (t *Timing) N() uint64 {
-	acc, _ := t.fold()
-	return acc.n
-}
-
-// Sum returns the total of all observations.
-func (t *Timing) Sum() time.Duration {
-	acc, _ := t.fold()
-	return acc.sum
-}
-
-// Quantile returns the approximate q-th quantile (see stats.Sketch).
-func (t *Timing) Quantile(q float64) time.Duration {
-	_, sk := t.fold()
-	return time.Duration(sk.Quantile(q) * float64(time.Second))
-}
-
-// Merge folds other into t (cluster roll-ups of per-host timings).
-func (t *Timing) Merge(other *Timing) error {
-	if other == nil || t == other {
-		return nil
+	if t.n == 0 || d < t.min {
+		t.min = d
 	}
-	oacc, osketch := other.fold()
-	if oacc.n == 0 {
-		return nil
+	if t.n == 0 || d > t.max {
+		t.max = d
 	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if t.n == 0 || oacc.min < t.min {
-		t.min = oacc.min
-	}
-	if t.n == 0 || oacc.max > t.max {
-		t.max = oacc.max
-	}
-	t.n += oacc.n
-	t.sum += oacc.sum
-	return t.sketch.Merge(osketch)
+	t.n++
+	t.sum += d
+	t.sketch.Add(d.Seconds())
 }
 
-// summary renders the timing's merged state.
+// summary renders the timing's state.
 func (t *Timing) summary() TimingSummary {
-	acc, sk := t.fold()
-	s := TimingSummary{N: acc.n, Sum: acc.sum, Min: acc.min, Max: acc.max}
-	if acc.n > 0 {
-		s.P50 = time.Duration(sk.Quantile(0.50) * float64(time.Second))
-		s.P95 = time.Duration(sk.Quantile(0.95) * float64(time.Second))
-		s.P99 = time.Duration(sk.Quantile(0.99) * float64(time.Second))
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	s := TimingSummary{N: t.n, Sum: t.sum, Min: t.min, Max: t.max}
+	if t.n > 0 {
+		s.P50 = time.Duration(t.sketch.Quantile(0.50) * float64(time.Second))
+		s.P95 = time.Duration(t.sketch.Quantile(0.95) * float64(time.Second))
+		s.P99 = time.Duration(t.sketch.Quantile(0.99) * float64(time.Second))
 	}
 	return s
 }
@@ -213,20 +135,18 @@ type Registry struct {
 	counters map[string]*Counter
 	gauges   map[string]*Gauge
 	timings  map[string]*Timing
-	buckets  TimingBuckets
 
 	// emit, when set, receives one trace event per finished span —
 	// the hook that layers spans onto internal/trace.
 	emit func(at time.Duration, kind, detail string)
 }
 
-// New returns an empty registry using DefaultTimingBuckets.
+// New returns an empty registry.
 func New() *Registry {
 	return &Registry{
 		counters: make(map[string]*Counter),
 		gauges:   make(map[string]*Gauge),
 		timings:  make(map[string]*Timing),
-		buckets:  DefaultTimingBuckets,
 	}
 }
 
@@ -268,7 +188,7 @@ func (r *Registry) Timing(name string) *Timing {
 	defer r.mu.Unlock()
 	t, ok := r.timings[name]
 	if !ok {
-		t = newTiming(r.buckets)
+		t = newTiming()
 		r.timings[name] = t
 	}
 	return t

@@ -54,29 +54,6 @@ func TestTimingSummary(t *testing.T) {
 	}
 }
 
-func TestTimingMerge(t *testing.T) {
-	r := New()
-	a, b := r.Timing("a"), r.Timing("b")
-	for i := 1; i <= 50; i++ {
-		a.Observe(time.Duration(i) * time.Millisecond)
-	}
-	for i := 51; i <= 100; i++ {
-		b.Observe(time.Duration(i) * time.Millisecond)
-	}
-	if err := a.Merge(b); err != nil {
-		t.Fatal(err)
-	}
-	if a.N() != 100 || a.Sum() != 5050*time.Millisecond {
-		t.Fatalf("merged n=%d sum=%v", a.N(), a.Sum())
-	}
-	if err := a.Merge(a); err != nil {
-		t.Fatal("self-merge must be a no-op")
-	}
-	if a.N() != 100 {
-		t.Fatalf("self-merge changed n=%d", a.N())
-	}
-}
-
 func TestSnapshotDeterministicText(t *testing.T) {
 	build := func() string {
 		r := New()
@@ -125,7 +102,7 @@ func TestSpanRecordsAndTraces(t *testing.T) {
 	if d := sp.End(99 * time.Millisecond); d != 0 {
 		t.Fatal("double End must be a no-op")
 	}
-	if n := r.Timing("mig.phase.vm").N(); n != 1 {
+	if n := r.Timing("mig.phase.vm").summary().N; n != 1 {
 		t.Fatalf("timing n = %d", n)
 	}
 	if log.CountKind("span") != 1 {
@@ -138,7 +115,7 @@ func TestSpanAbort(t *testing.T) {
 	sp := r.StartSpan("mig.phase.streams", 0)
 	sp.Abort(4 * time.Millisecond)
 	sp.End(9 * time.Millisecond) // no-op after abort
-	if n := r.Timing("mig.phase.streams").N(); n != 0 {
+	if n := r.Timing("mig.phase.streams").summary().N; n != 0 {
 		t.Fatalf("aborted span recorded a duration (n=%d)", n)
 	}
 	if got := r.Counter("mig.phase.streams.aborted").Value(); got != 1 {
@@ -169,9 +146,9 @@ func TestConcurrentCounters(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	if r.Counter("n").Value() != 8000 || r.Gauge("g").Value() != 8000 || r.Timing("t").N() != 8000 {
+	if r.Counter("n").Value() != 8000 || r.Gauge("g").Value() != 8000 || r.Timing("t").summary().N != 8000 {
 		t.Fatalf("lost updates: n=%d g=%d t=%d",
-			r.Counter("n").Value(), r.Gauge("g").Value(), r.Timing("t").N())
+			r.Counter("n").Value(), r.Gauge("g").Value(), r.Timing("t").summary().N)
 	}
 }
 

@@ -103,9 +103,6 @@ func (n *Network) account(bytes int) {
 	}
 }
 
-// Latency returns the one-way propagation latency.
-func (n *Network) Latency() time.Duration { return n.params.Latency }
-
 // Messages returns the number of messages sent so far.
 func (n *Network) Messages() uint64 { return n.messages }
 

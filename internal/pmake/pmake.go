@@ -83,9 +83,6 @@ func (m *Makefile) add(t *Target) {
 	m.targets[t.Name] = t
 }
 
-// Target returns a target by name, or nil.
-func (m *Makefile) Target(name string) *Target { return m.targets[name] }
-
 // Targets returns all targets in insertion order.
 func (m *Makefile) Targets() []*Target {
 	out := make([]*Target, 0, len(m.names))

@@ -321,9 +321,6 @@ type Endpoint struct {
 	hints     HintProvider
 }
 
-// Host returns the endpoint's host id.
-func (e *Endpoint) Host() HostID { return e.host }
-
 // Handle registers a service handler, replacing any previous registration.
 func (e *Endpoint) Handle(service string, h Handler) { e.services[service] = h }
 

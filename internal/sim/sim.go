@@ -110,14 +110,9 @@ type Simulation struct {
 	live    map[uint64]*activity
 	stopped bool
 	rng     *rand.Rand
-	seed    int64
 	errs    []error
 	stats   Stats
 	digest  uint64
-
-	// Trace, when non-nil, receives one line per scheduler decision. It is
-	// intended for debugging tests, not production use.
-	Trace func(format string, args ...any)
 }
 
 // Stats returns a copy of the scheduler's event-loop counters.
@@ -134,7 +129,6 @@ func New(seed int64) *Simulation {
 	return &Simulation{
 		live:   make(map[uint64]*activity),
 		rng:    rand.New(rand.NewSource(seed)),
-		seed:   seed,
 		digest: fnvOffset,
 	}
 }
@@ -144,9 +138,6 @@ func (s *Simulation) Now() time.Duration { return s.now }
 
 // Rand returns the simulation's deterministic random source.
 func (s *Simulation) Rand() *rand.Rand { return s.rng }
-
-// Seed returns the seed the simulation was constructed with.
-func (s *Simulation) Seed() int64 { return s.seed }
 
 // OrderDigest returns an FNV-1a hash over the committed (time, sequence)
 // event order so far. Two runs of the same program and seed produce the same
@@ -321,9 +312,6 @@ func (s *Simulation) dispatch(a *activity) {
 	if a.state == stateDone {
 		return
 	}
-	if s.Trace != nil {
-		s.Trace("t=%v run %s", s.now, a.name)
-	}
 	s.stats.ContextSwitches++
 	a.wake = nil
 	a.state = stateRunning
@@ -390,9 +378,6 @@ type Env struct {
 	act     *activity
 	wakeErr error // error to deliver at next wakeup (ErrStopped, ErrTimeout)
 }
-
-// Sim returns the underlying simulation.
-func (e *Env) Sim() *Simulation { return e.sim }
 
 // Now returns the current virtual time.
 func (e *Env) Now() time.Duration { return e.sim.now }

@@ -313,32 +313,6 @@ func TestWaitGroup(t *testing.T) {
 	}
 }
 
-func TestCondBroadcast(t *testing.T) {
-	s := New(1)
-	c := NewCond(s)
-	woken := 0
-	for i := 0; i < 3; i++ {
-		s.Spawn(fmt.Sprintf("w%d", i), func(env *Env) error {
-			if err := c.Wait(env); err != nil {
-				return err
-			}
-			woken++
-			return nil
-		})
-	}
-	s.Spawn("b", func(env *Env) error {
-		if err := env.Sleep(time.Second); err != nil {
-			return err
-		}
-		c.Broadcast()
-		return nil
-	})
-	run(t, s)
-	if woken != 3 {
-		t.Fatalf("woken = %d, want 3", woken)
-	}
-}
-
 func TestDeadlockDetection(t *testing.T) {
 	s := New(1)
 	f := NewFuture(s)
@@ -518,19 +492,30 @@ func TestYieldInterleaving(t *testing.T) {
 	}
 }
 
+// TestResourceWaitTimeAccounting: the second of two users of a one-slot
+// resource queues for exactly the first user's hold time, and the
+// resource counts its busy time once.
 func TestResourceWaitTimeAccounting(t *testing.T) {
 	s := New(1)
 	r := NewResource(s, 1)
+	var waited [2]time.Duration
 	for i := 0; i < 2; i++ {
 		s.Spawn(fmt.Sprintf("u%d", i), func(env *Env) error {
-			return r.Use(env, time.Second)
+			start := env.Now()
+			if err := r.Acquire(env); err != nil {
+				return err
+			}
+			waited[i] = env.Now() - start
+			err := env.Sleep(time.Second)
+			r.Release()
+			return err
 		})
 	}
 	run(t, s)
-	if r.WaitTime() != time.Second {
-		t.Fatalf("wait = %v, want 1s", r.WaitTime())
+	if waited != [2]time.Duration{0, time.Second} {
+		t.Fatalf("waits = %v, want [0s 1s]", waited)
 	}
-	if r.Acquired() != 2 {
-		t.Fatalf("acquired = %d, want 2", r.Acquired())
+	if r.BusyTime() != 2*time.Second {
+		t.Fatalf("busy = %v, want 2s", r.BusyTime())
 	}
 }

@@ -167,8 +167,6 @@ type Resource struct {
 	// stats
 	busy      time.Duration
 	lastStart time.Duration
-	acquired  uint64
-	waited    time.Duration
 }
 
 // NewResource returns a resource with the given number of slots (minimum 1).
@@ -184,13 +182,11 @@ func NewResource(s *Simulation, slots int) *Resource {
 // loop of Acquire/Release cannot starve other acquirers (this is what gives
 // CPU.Compute its round-robin behaviour).
 func (r *Resource) Acquire(env *Env) error {
-	start := env.Now()
 	if r.inUse < r.slots && len(r.waiters) == 0 {
 		if r.inUse == 0 {
-			r.lastStart = start
+			r.lastStart = env.Now()
 		}
 		r.inUse++
-		r.acquired++
 		return nil
 	}
 	r.waiters = append(r.waiters, env)
@@ -200,8 +196,6 @@ func (r *Resource) Acquire(env *Env) error {
 	}
 	// A nil wake means Release transferred its slot to us: inUse was left
 	// unchanged on our behalf.
-	r.acquired++
-	r.waited += env.Now() - start
 	return nil
 }
 
@@ -243,12 +237,6 @@ func (r *Resource) Use(env *Env, d time.Duration) error {
 // BusyTime returns the total virtual time during which at least one slot was
 // held.
 func (r *Resource) BusyTime() time.Duration { return r.busy }
-
-// WaitTime returns the cumulative virtual time acquirers spent queued.
-func (r *Resource) WaitTime() time.Duration { return r.waited }
-
-// Acquired returns the number of successful acquisitions.
-func (r *Resource) Acquired() uint64 { return r.acquired }
 
 func (r *Resource) dropWaiter(env *Env) {
 	for i, w := range r.waiters {
@@ -305,43 +293,4 @@ func (w *WaitGroup) dropWaiter(env *Env) {
 			return
 		}
 	}
-}
-
-// Cond is a broadcast-only condition variable: waiters block until the next
-// Broadcast.
-type Cond struct {
-	sim     *Simulation
-	waiters []*Env
-}
-
-// NewCond returns a condition variable bound to the simulation.
-func NewCond(s *Simulation) *Cond {
-	return &Cond{sim: s}
-}
-
-// Wait blocks the activity until the next Broadcast.
-func (c *Cond) Wait(env *Env) error {
-	c.waiters = append(c.waiters, env)
-	if werr := env.block(); werr != nil {
-		c.dropWaiter(env)
-		return werr
-	}
-	return nil
-}
-
-func (c *Cond) dropWaiter(env *Env) {
-	for i, e := range c.waiters {
-		if e == env {
-			c.waiters = append(c.waiters[:i], c.waiters[i+1:]...)
-			return
-		}
-	}
-}
-
-// Broadcast wakes every current waiter.
-func (c *Cond) Broadcast() {
-	for _, w := range c.waiters {
-		w.wakeNow(nil)
-	}
-	c.waiters = nil
 }

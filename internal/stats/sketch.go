@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"sort"
-	"time"
 )
 
 // Sketch is an online, mergeable quantile sketch with a bounded relative
@@ -104,9 +103,6 @@ func (s *Sketch) Add(v float64) {
 		s.zero++
 	}
 }
-
-// AddDuration records a duration observation in seconds.
-func (s *Sketch) AddDuration(d time.Duration) { s.Add(d.Seconds()) }
 
 // bucket maps a positive magnitude to its log-spaced bucket index.
 func (s *Sketch) bucket(v float64) int {

@@ -98,9 +98,6 @@ type Segment struct {
 // Pages returns the segment's size in pages.
 func (s *Segment) Pages() int { return s.pages }
 
-// Bytes returns the segment's size in bytes.
-func (s *Segment) Bytes() int { return s.pages * s.space.params.PageSize }
-
 // Resident reports whether page i is resident.
 func (s *Segment) Resident(i int) bool { return i >= 0 && i < s.pages && s.resident[i] }
 
@@ -169,7 +166,6 @@ func listTrue(bs []bool) []int {
 // AddressSpace is a process's memory image.
 type AddressSpace struct {
 	params Params
-	name   string
 
 	Code  *Segment
 	Heap  *Segment
@@ -180,12 +176,6 @@ type AddressSpace struct {
 	// cpu is charged for fault handling; it is the current host's CPU and
 	// is updated on migration.
 	chargeCPU func(env *sim.Env, d time.Duration) error
-
-	// maxResident caps the resident set (0 = unlimited); clockSeg and
-	// clockPage are the replacement hand.
-	maxResident int
-	clockSeg    int
-	clockPage   int
 }
 
 // Config sizes a new address space.
@@ -211,7 +201,7 @@ func New(env *sim.Env, client *fs.Client, name string, cfg Config, params Params
 	if swapDir == "" {
 		swapDir = "/swap"
 	}
-	as := &AddressSpace{params: params, name: name}
+	as := &AddressSpace{params: params}
 	as.Code = as.newSegment(CodeSegment, cfg.CodePages)
 	as.Heap = as.newSegment(HeapSegment, cfg.HeapPages)
 	as.Stack = as.newSegment(StackSegment, cfg.StackPages)
@@ -250,9 +240,6 @@ func (as *AddressSpace) newSegment(kind SegmentKind, pages int) *Segment {
 		space:    as,
 	}
 }
-
-// Name returns the address space's owner name.
-func (as *AddressSpace) Name() string { return as.name }
 
 // Params returns the VM parameters.
 func (as *AddressSpace) Params() Params { return as.params }
@@ -304,11 +291,6 @@ func (as *AddressSpace) Touch(env *sim.Env, seg *Segment, page int, write bool) 
 		as.stats.Faults++
 		if as.chargeCPU != nil && as.params.FaultCPU > 0 {
 			if err := as.chargeCPU(env, as.params.FaultCPU); err != nil {
-				return err
-			}
-		}
-		if as.maxResident > 0 && as.ResidentPages() >= as.maxResident {
-			if err := as.evictOne(env, seg, page); err != nil {
 				return err
 			}
 		}

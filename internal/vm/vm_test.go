@@ -222,3 +222,24 @@ func TestTouchRangeAndCounts(t *testing.T) {
 		return nil
 	})
 }
+
+// A process's resident set has no cap: touching every heap page leaves
+// them all resident and never pages one out.
+func TestUnlimitedByDefault(t *testing.T) {
+	h := newHarness(t)
+	h.run(t, func(env *sim.Env) error {
+		as := newSpace(t, env, h, "uncapped", 64)
+		for i := 0; i < 64; i++ {
+			if err := as.Touch(env, as.Heap, i, true); err != nil {
+				return err
+			}
+		}
+		if got := as.Heap.ResidentCount(); got != 64 {
+			t.Fatalf("resident = %d, want 64 (no cap)", got)
+		}
+		if as.Stats().PageOuts != 0 {
+			t.Fatal("page-outs without memory pressure")
+		}
+		return nil
+	})
+}
